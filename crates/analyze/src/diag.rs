@@ -36,10 +36,10 @@ pub enum Rule {
     /// Root annotation cross-check: the rewriter's recorded root tags
     /// disagree with the independently derived root tags.
     V008,
-    /// The columnar aggregate fast path (`FastPlan` in `ops_agg.rs`) must
-    /// never be eligible when any aggregate argument is uncertain: the
-    /// fast fold bypasses lineage-ref emission, so an uncertain argument
-    /// folded fast would silently drop §6.1 lineage.
+    /// The columnar aggregate fast path (the `FoldFragment` compiled in
+    /// `ops_agg.rs`) must never be eligible when any aggregate argument is
+    /// uncertain: the fast fold bypasses lineage-ref emission, so an
+    /// uncertain argument folded fast would silently drop §6.1 lineage.
     V009,
     /// Recovery-closure survival (§5.1): along every root→streamed-scan
     /// spine, each operator whose state must survive replay registers
@@ -250,22 +250,7 @@ pub fn sort_diagnostics(diags: &mut Vec<Diagnostic>) {
     });
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use iolap_core::trace::json_escape;
 
 /// One diagnostic as a machine-readable JSON object (stable key order).
 pub fn diagnostic_json(d: &Diagnostic) -> String {

@@ -26,7 +26,7 @@
 //! * **V008** — the rewriter's recorded root annotation agrees with the
 //!   derived root tags.
 //! * **V009** — the columnar aggregate fast path is never eligible for
-//!   uncertain-arg aggregates: a compiled `FastPlan` together with any
+//!   uncertain-arg aggregates: a compiled fast plan together with any
 //!   configured-or-derived uncertain argument would fold fast and bypass
 //!   §6.1 lineage-ref emission.
 //! * **V010** — recovery-spine closure (§5.1): along every root→streamed-

@@ -49,14 +49,7 @@ use std::fmt::Write as _;
 ///   counters, and the fsync-on overhead against the 25 % budget).
 pub const SCHEMA_VERSION: u32 = 7;
 
-/// Escape a string for a JSON string literal (quotes not included).
-///
-/// One canonical implementation serves both the benchmark record and the
-/// server's wire protocol: this is a thin re-export of
-/// [`iolap_server::wire::escape`], so the two emitters can never drift.
-pub fn escape(s: &str) -> String {
-    iolap_server::wire::escape(s)
-}
+pub use iolap_server::wire::escape;
 
 /// A finite JSON number; non-finite floats become `null` (JSON has no NaN).
 fn num(x: f64) -> String {
@@ -673,12 +666,6 @@ pub fn write_bench_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("plain"), "plain");
-    }
 
     #[test]
     fn metrics_json_groups() {

@@ -47,8 +47,8 @@ pub use ops::{BatchCtx, BatchStats, OnlineOp, ProjMode};
 pub use registry::AggRegistry;
 pub use rewriter::{rewrite, OnlineQuery, RewriteError};
 pub use shard::{
-    fold_fragment_partition, AccState, FoldFragment, FoldPartial, FragKind, FragSrc,
-    LocalShardExec, PartialCall, PartialGroup, ShardExec, ShardTraceCtx, ShardWorkerStats,
+    fold_fragment_partition, fold_partition, AccState, FoldFragment, FoldPartial, FragKind,
+    FragSrc, LocalShardExec, PartialCall, PartialGroup, ShardExec, ShardTraceCtx, ShardWorkerStats,
     PARTITION_ROWS,
 };
 pub use sink::{Presentation, QueryResult, Sink};

@@ -17,12 +17,10 @@
 
 use crate::channel::{BatchData, ORow};
 use crate::ops::{BatchCtx, OnlineOp};
-use crate::shard::{self, AccState, FoldFragment, FragKind, FragSrc, PartialGroup};
-use iolap_engine::{Accumulator, AggCall, EngineError, Expr, RefMode};
-use iolap_relation::kernels::fold::{
-    fold_count_uniform, fold_count_weighted, fold_sum_uniform, fold_sum_weighted, gather_numeric,
-};
-use iolap_relation::{AggRef, Schema, SelVec, Value};
+use crate::shard::{self, AccState, FoldFragment, FragKind, PartialGroup};
+use iolap_engine::{Accumulator, AggCall, EngineError, RefMode};
+use iolap_relation::kernels::fold::merge_trials;
+use iolap_relation::{AggRef, Schema, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -52,30 +50,16 @@ enum TrialState {
     /// `a[t]` = Σ weight·x (or Σ weight for COUNT); `b[t]` = Σ weight over
     /// non-null inputs (presence/denominator).
     Fast {
-        kind: FastKind,
+        kind: FragKind,
         a: Vec<f64>,
         b: Vec<f64>,
     },
     Generic(Vec<AccBox>),
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FastKind {
-    Count,
-    Sum,
-    Avg,
-}
-
 impl TrialState {
     fn new(kind: &iolap_engine::AggKind, trials: usize) -> TrialState {
-        use iolap_engine::{AggKind, BuiltinAgg};
-        let fast = match kind {
-            AggKind::Builtin(BuiltinAgg::Count) => Some(FastKind::Count),
-            AggKind::Builtin(BuiltinAgg::Sum) => Some(FastKind::Sum),
-            AggKind::Builtin(BuiltinAgg::Avg) => Some(FastKind::Avg),
-            _ => None,
-        };
-        match fast {
+        match FragKind::of(kind) {
             Some(k) => TrialState::Fast {
                 kind: k,
                 a: vec![0.0; trials],
@@ -90,45 +74,20 @@ impl TrialState {
     fn update_value(&mut self, v: &Value, row: &ORow) {
         match self {
             TrialState::Fast { kind, a, b } => {
+                // Same participation rule as `gather_numeric`: NULL never
+                // folds; non-numeric cells fold only for COUNT.
                 let x = v.as_f64();
-                if v.is_null() || (x.is_none() && *kind != FastKind::Count) {
+                if v.is_null() || (x.is_none() && *kind != FragKind::Count) {
                     return;
                 }
-                let x = x.unwrap_or(0.0);
-                match &row.weights {
-                    None => {
-                        let w = row.mult;
-                        match kind {
-                            FastKind::Count => {
-                                for t in a.iter_mut() {
-                                    *t += w;
-                                }
-                            }
-                            FastKind::Sum | FastKind::Avg => {
-                                for (ta, tb) in a.iter_mut().zip(b.iter_mut()) {
-                                    *ta += w * x;
-                                    *tb += w;
-                                }
-                            }
-                        }
-                    }
-                    Some(ws) => {
-                        let m = row.mult;
-                        match kind {
-                            FastKind::Count => {
-                                for (t, w) in a.iter_mut().zip(ws.iter()) {
-                                    *t += m * w;
-                                }
-                            }
-                            FastKind::Sum | FastKind::Avg => {
-                                for ((ta, tb), w) in a.iter_mut().zip(b.iter_mut()).zip(ws.iter()) {
-                                    *ta += m * w * x;
-                                    *tb += m * w;
-                                }
-                            }
-                        }
-                    }
-                }
+                shard::fold_trials(
+                    *kind,
+                    a,
+                    b,
+                    x.unwrap_or(0.0),
+                    row.mult,
+                    row.weights.as_deref(),
+                );
             }
             TrialState::Generic(accs) => {
                 for (t, acc) in accs.iter_mut().enumerate() {
@@ -147,8 +106,8 @@ impl TrialState {
                     return;
                 }
                 match kind {
-                    FastKind::Count => a[t] += w,
-                    FastKind::Sum | FastKind::Avg => {
+                    FragKind::Count => a[t] += w,
+                    FragKind::Sum | FragKind::Avg => {
                         if let Some(x) = v.as_f64() {
                             a[t] += w * x;
                             b[t] += w;
@@ -165,12 +124,12 @@ impl TrialState {
     fn output_f64(&self, t: usize, scale: f64) -> f64 {
         match self {
             TrialState::Fast { kind, a, b } => match kind {
-                FastKind::Count => a[t] * scale,
+                FragKind::Count => a[t] * scale,
                 // An empty resample of a SUM is genuinely 0 (every tuple
                 // drawn 0 times), not missing — keeping it in the envelope
                 // is what lets small groups' ranges honestly include 0.
-                FastKind::Sum => a[t] * scale,
-                FastKind::Avg => {
+                FragKind::Sum => a[t] * scale,
+                FragKind::Avg => {
                     if b[t] > 0.0 {
                         a[t] / b[t]
                     } else {
@@ -185,12 +144,8 @@ impl TrialState {
     fn merge(&mut self, other: &TrialState) -> Result<(), EngineError> {
         match (self, other) {
             (TrialState::Fast { a, b, .. }, TrialState::Fast { a: oa, b: ob, .. }) => {
-                for (x, y) in a.iter_mut().zip(oa.iter()) {
-                    *x += y;
-                }
-                for (x, y) in b.iter_mut().zip(ob.iter()) {
-                    *x += y;
-                }
+                merge_trials(a, oa);
+                merge_trials(b, ob);
                 Ok(())
             }
             (TrialState::Generic(accs), TrialState::Generic(other)) => {
@@ -223,52 +178,6 @@ impl TrialState {
     }
 }
 
-/// Where one vectorizable aggregate call reads its argument from.
-#[derive(Clone, Debug)]
-enum FastSrc {
-    /// Bare input column.
-    Col(usize),
-    /// Constant literal (lineage-free).
-    Lit(Value),
-}
-
-/// Compile-time description of a fully vectorizable aggregate: every call a
-/// builtin COUNT/SUM/AVG over a bare column or constant, no uncertain
-/// arguments. When present, whole mini-batch chunks fold through the
-/// columnar kernels instead of per-row expression evaluation.
-#[derive(Clone, Debug)]
-struct FastPlan {
-    srcs: Vec<FastSrc>,
-    kinds: Vec<FastKind>,
-}
-
-impl FastPlan {
-    fn compile(aggs: &[AggCall], arg_uncertain: &[bool]) -> Option<FastPlan> {
-        use iolap_engine::{AggKind, BuiltinAgg};
-        if arg_uncertain.iter().any(|b| *b) {
-            return None;
-        }
-        let mut srcs = Vec::with_capacity(aggs.len());
-        let mut kinds = Vec::with_capacity(aggs.len());
-        for call in aggs {
-            kinds.push(match &call.kind {
-                AggKind::Builtin(BuiltinAgg::Count) => FastKind::Count,
-                AggKind::Builtin(BuiltinAgg::Sum) => FastKind::Sum,
-                AggKind::Builtin(BuiltinAgg::Avg) => FastKind::Avg,
-                _ => return None,
-            });
-            srcs.push(match &call.input {
-                Expr::Col(i) => FastSrc::Col(*i),
-                Expr::Lit(v) if !matches!(v, Value::Ref(_) | Value::Pending(_)) => {
-                    FastSrc::Lit(v.clone())
-                }
-                _ => return None,
-            });
-        }
-        Some(FastPlan { srcs, kinds })
-    }
-}
-
 /// Instrumentation from one `fold_rows` call. Folds run behind `&self`
 /// (workers and shard pools cannot write `&mut Metrics`), so the numbers
 /// ride back to `process`, which records them around the call.
@@ -295,6 +204,68 @@ impl FoldStats {
 
 /// Group-key → sketch map, the working state of a fold.
 type SketchMap = HashMap<Arc<[Value]>, GroupSketch>;
+
+/// One grid partition's folded groups.
+type PartGroups = Vec<(Arc<[Value]>, GroupSketch)>;
+
+/// Add `sketch` to `map[key]`: merge into the group when it exists, insert
+/// otherwise.
+fn merge_into(
+    map: &mut SketchMap,
+    key: Arc<[Value]>,
+    sketch: GroupSketch,
+) -> Result<(), EngineError> {
+    match map.get_mut(&key) {
+        Some(existing) => existing.merge(&sketch),
+        None => {
+            map.insert(key, sketch);
+            Ok(())
+        }
+    }
+}
+
+/// Merge per-partition groups into one map, in partition order. Every
+/// topology — this thread, worker threads, remote shards — funnels through
+/// this loop, so the float merge tree depends only on the grid.
+fn merge_partitions(parts: impl IntoIterator<Item = PartGroups>) -> Result<SketchMap, EngineError> {
+    let mut merged = SketchMap::new();
+    for part in parts {
+        for (key, sketch) in part {
+            merge_into(&mut merged, key, sketch)?;
+        }
+    }
+    Ok(merged)
+}
+
+/// Rebuild a partition kernel's partial group as a [`GroupSketch`] —
+/// lossless: the engine accumulators are reconstructed bit-for-bit via
+/// their `from_state` constructors, so a later [`GroupSketch::merge`] adds
+/// exactly the floats a row-at-a-time fold of the same partition would
+/// have.
+fn sketch_from_partial(pg: PartialGroup) -> (Arc<[Value]>, GroupSketch) {
+    use iolap_engine::{AvgAcc, CountAcc, SumAcc};
+    let mut accs = Vec::with_capacity(pg.calls.len());
+    let mut trials = Vec::with_capacity(pg.calls.len());
+    for call in pg.calls {
+        let (acc, kind): (Box<dyn Accumulator>, FragKind) = match call.acc {
+            AccState::Count { n } => (Box::new(CountAcc::from_state(n)), FragKind::Count),
+            AccState::Sum { sum, any } => (Box::new(SumAcc::from_state(sum, any)), FragKind::Sum),
+            AccState::Avg { sum, n } => (Box::new(AvgAcc::from_state(sum, n)), FragKind::Avg),
+        };
+        accs.push(AccBox(acc));
+        trials.push(TrialState::Fast {
+            kind,
+            a: call.a,
+            b: call.b,
+        });
+    }
+    let sketch = GroupSketch {
+        accs,
+        trials,
+        has_certain: pg.has_certain,
+    };
+    (pg.key.into(), sketch)
+}
 
 /// Per-group sketch: one main accumulator plus per-trial state, per
 /// aggregate call.
@@ -362,12 +333,15 @@ pub struct AggregateOp {
     /// Compile-time: subtree reads the streamed relation → extensive
     /// outputs are scaled by `m_i`.
     pub scale_stream: bool,
-    sketch: HashMap<Arc<[Value]>, GroupSketch>,
+    sketch: SketchMap,
     /// Certain rows retained when sketching is impossible (uncertain
     /// aggregate arguments, §4.2).
     unsketchable_rows: Vec<ORow>,
     emitted_certain: HashSet<Arc<[Value]>>,
-    fast: Option<FastPlan>,
+    /// Compiled fast plan: when present, whole partitions fold through
+    /// [`shard::fold_partition`] — locally or on a shard — instead of
+    /// per-row expression evaluation.
+    fast: Option<FoldFragment>,
 }
 
 impl AggregateOp {
@@ -383,7 +357,7 @@ impl AggregateOp {
         input_tuple_uncertain: bool,
         scale_stream: bool,
     ) -> Self {
-        let fast = FastPlan::compile(&aggs, &arg_uncertain);
+        let fast = FoldFragment::compile(agg_id, &group_cols, &aggs, &arg_uncertain);
         AggregateOp {
             child: Box::new(child),
             group_cols,
@@ -447,7 +421,7 @@ impl AggregateOp {
 
     fn fold_row(
         &self,
-        sketch: &mut HashMap<Arc<[Value]>, GroupSketch>,
+        sketch: &mut SketchMap,
         row: &ORow,
         certain: bool,
         registry: &crate::registry::AggRegistry,
@@ -479,309 +453,28 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Fold one chunk of rows into `map`: columnar fast path when the plan
-    /// applies, row-at-a-time otherwise.
+    /// Fold one grid partition into its groups: the partition kernel when
+    /// the fast plan applies (and no lineage cell turns up in an argument
+    /// column), row-at-a-time otherwise.
     fn fold_chunk(
         &self,
-        map: &mut HashMap<Arc<[Value]>, GroupSketch>,
         rows: &[ORow],
         certain: bool,
         registry: &crate::registry::AggRegistry,
         trials: usize,
-    ) -> Result<(), EngineError> {
-        if self.fold_chunk_columnar(map, rows, certain, trials)? {
-            return Ok(());
+    ) -> Result<PartGroups, EngineError> {
+        let fast = self
+            .fast
+            .as_ref()
+            .and_then(|frag| shard::fold_partition(frag, rows, certain));
+        if let Some(groups) = fast {
+            return Ok(groups.into_iter().map(sketch_from_partial).collect());
         }
+        let mut map = SketchMap::new();
         for row in rows {
-            self.fold_row(map, row, certain, registry, trials)?;
+            self.fold_row(&mut map, row, certain, registry, trials)?;
         }
-        Ok(())
-    }
-
-    /// Typed group-code assignment for a single-column group key: probe by
-    /// the cell's native representation (`i64`, float bits, `&str`, bool)
-    /// instead of cloning and hashing `Value` slices per row. Returns
-    /// `false` — caller reverts to the generic probe — when the key column
-    /// mixes variants or carries lineage cells. Codes and keys come out in
-    /// first-occurrence order with the exact `Value`-equality semantics of
-    /// the generic path (floats group by bit pattern, `Int(1)` never merges
-    /// with `Float(1.0)` because mixed chunks bail).
-    #[allow(clippy::too_many_arguments)]
-    fn codes_single_col(
-        &self,
-        g: usize,
-        rows: &[ORow],
-        trials: usize,
-        keys: &mut Vec<Arc<[Value]>>,
-        groups: &mut Vec<GroupSketch>,
-        codes: &mut Vec<u32>,
-    ) -> bool {
-        // Bound the code domain up front: `groups.len() ≤ rows.len() < 2³²`
-        // makes the infallible cast below provably exact (the generic path
-        // handles the absurd wider case with a checked conversion).
-        if u32::try_from(rows.len()).is_err() {
-            return false;
-        }
-        let mut ints: HashMap<i64, u32> = HashMap::new();
-        let mut floats: HashMap<u64, u32> = HashMap::new();
-        let mut strs: HashMap<Arc<str>, u32> = HashMap::new();
-        let mut bools = [None::<u32>; 2];
-        let mut null_code: Option<u32> = None;
-        // 0=Int 1=Float 2=Bool 3=Str, pinned by the first non-null cell.
-        let mut kind: Option<u8> = None;
-        for row in rows {
-            let v = &row.values[g];
-            let k = match v {
-                Value::Null => u8::MAX,
-                Value::Int(_) => 0,
-                Value::Float(_) => 1,
-                Value::Bool(_) => 2,
-                Value::Str(_) => 3,
-                Value::Ref(_) | Value::Pending(_) => return false,
-            };
-            if k != u8::MAX {
-                match kind {
-                    None => kind = Some(k),
-                    Some(prev) if prev == k => {}
-                    Some(_) => return false,
-                }
-            }
-            let fresh = |keys: &mut Vec<Arc<[Value]>>, groups: &mut Vec<GroupSketch>| {
-                let code = groups.len() as u32;
-                keys.push(Arc::from(vec![v.clone()]));
-                groups.push(GroupSketch::new(&self.aggs, trials));
-                code
-            };
-            let code = match v {
-                Value::Null => *null_code.get_or_insert_with(|| fresh(keys, groups)),
-                Value::Int(i) => *ints.entry(*i).or_insert_with(|| fresh(keys, groups)),
-                Value::Float(f) => *floats
-                    .entry(f.to_bits())
-                    .or_insert_with(|| fresh(keys, groups)),
-                Value::Bool(b) => {
-                    *bools[usize::from(*b)].get_or_insert_with(|| fresh(keys, groups))
-                }
-                Value::Str(s) => match strs.get(&**s) {
-                    Some(&code) => code,
-                    None => {
-                        let code = fresh(keys, groups);
-                        strs.insert(s.clone(), code);
-                        code
-                    }
-                },
-                Value::Ref(_) | Value::Pending(_) => return false,
-            };
-            codes.push(code);
-        }
-        true
-    }
-
-    /// Columnar fold of one chunk: gather each call's argument column once,
-    /// assign dense group codes with one hash probe per row, then fold main
-    /// accumulators and trial vectors per row by code — no per-row key
-    /// allocation, `EvalContext`, or expression evaluation. Float additions
-    /// hit each (group, call) slot in input row order, exactly like
-    /// [`AggregateOp::fold_row`], so the resulting sketch is bit-identical
-    /// to the row path's.
-    ///
-    /// Returns `Ok(false)` — with `map` untouched — when no fast plan was
-    /// compiled or a lineage cell shows up in an argument column (those need
-    /// resolver access); the caller then falls back to the row path.
-    fn fold_chunk_columnar(
-        &self,
-        map: &mut HashMap<Arc<[Value]>, GroupSketch>,
-        rows: &[ORow],
-        certain: bool,
-        trials: usize,
-    ) -> Result<bool, EngineError> {
-        let Some(plan) = &self.fast else {
-            return Ok(false);
-        };
-        if rows.is_empty() {
-            return Ok(true);
-        }
-        // Pass A: gather argument columns (aborts before any group state
-        // mutation when a lineage cell appears).
-        let ncalls = plan.srcs.len();
-        let mut xs: Vec<Vec<f64>> = vec![Vec::new(); ncalls];
-        let mut sels: Vec<SelVec> = (0..ncalls)
-            .map(|_| SelVec::with_capacity(rows.len()))
-            .collect();
-        for (c, src) in plan.srcs.iter().enumerate() {
-            let count_kind = plan.kinds[c] == FastKind::Count;
-            let ok = match src {
-                FastSrc::Col(j) => gather_numeric(
-                    rows.iter().map(|r| &r.values[*j]),
-                    count_kind,
-                    &mut xs[c],
-                    &mut sels[c],
-                ),
-                FastSrc::Lit(v) => gather_numeric(
-                    std::iter::repeat_n(v, rows.len()),
-                    count_kind,
-                    &mut xs[c],
-                    &mut sels[c],
-                ),
-            };
-            if !ok {
-                return Ok(false);
-            }
-        }
-        // Pass B: dense group codes, one probe per row. Single-column keys
-        // take a typed probe (no per-row `Value` clone or slice hashing);
-        // multi-column or mixed-variant keys fall back to the generic
-        // scratch-buffer probe. Either way group codes are assigned in
-        // first-occurrence order, matching the row path's `entry` order.
-        let mut keys: Vec<Arc<[Value]>> = Vec::new();
-        let mut groups: Vec<GroupSketch> = Vec::new();
-        let mut codes: Vec<u32> = Vec::with_capacity(rows.len());
-        let typed = match self.group_cols.as_slice() {
-            // Global aggregate: every row is the one (empty-key) group.
-            [] => {
-                keys.push(Arc::from(Vec::new()));
-                groups.push(GroupSketch::new(&self.aggs, trials));
-                codes.resize(rows.len(), 0);
-                true
-            }
-            [g] => self.codes_single_col(*g, rows, trials, &mut keys, &mut groups, &mut codes),
-            _ => false,
-        };
-        if !typed {
-            keys.clear();
-            groups.clear();
-            codes.clear();
-            let mut index: HashMap<Arc<[Value]>, u32> = HashMap::new();
-            let mut scratch: Vec<Value> = Vec::with_capacity(self.group_cols.len());
-            for row in rows {
-                scratch.clear();
-                scratch.extend(self.group_cols.iter().map(|&g| row.values[g].clone()));
-                let code = match index.get(scratch.as_slice()) {
-                    Some(&code) => code,
-                    None => {
-                        let code = checked_code(groups.len())?;
-                        let key: Arc<[Value]> = Arc::from(&scratch[..]);
-                        index.insert(key.clone(), code);
-                        keys.push(key);
-                        groups.push(GroupSketch::new(&self.aggs, trials));
-                        code
-                    }
-                };
-                codes.push(code);
-            }
-        }
-        // `certain` is chunk-constant and every group was created by some
-        // row of this chunk, so the per-row `|=` collapses to one sweep.
-        if certain {
-            for group in &mut groups {
-                group.has_certain = true;
-            }
-        }
-        // Pass C: fold per row by code — main accumulator on every row,
-        // trial kernels on participating rows (per-call selection cursors).
-        let mut cursors = vec![0usize; ncalls];
-        for (i, row) in rows.iter().enumerate() {
-            let g = &mut groups[codes[i] as usize];
-            for c in 0..ncalls {
-                let v: &Value = match &plan.srcs[c] {
-                    FastSrc::Col(j) => &row.values[*j],
-                    FastSrc::Lit(l) => l,
-                };
-                g.accs[c].0.update(v, row.mult);
-                let cur = cursors[c];
-                if cur < sels[c].len() && sels[c].get(cur) == i {
-                    cursors[c] = cur + 1;
-                    let x = xs[c][cur];
-                    let TrialState::Fast { kind, a, b } = &mut g.trials[c] else {
-                        return Err(EngineError::Plan(
-                            "fast aggregate plan over non-fast trial state".to_string(),
-                        ));
-                    };
-                    match (*kind, &row.weights) {
-                        (FastKind::Count, None) => fold_count_uniform(a, row.mult),
-                        (FastKind::Count, Some(ws)) => fold_count_weighted(a, row.mult, ws),
-                        (FastKind::Sum | FastKind::Avg, None) => {
-                            fold_sum_uniform(a, b, x, row.mult)
-                        }
-                        (FastKind::Sum | FastKind::Avg, Some(ws)) => {
-                            fold_sum_weighted(a, b, x, row.mult, ws)
-                        }
-                    }
-                }
-            }
-        }
-        // Move the dense groups into the caller's map.
-        for (key, group) in keys.into_iter().zip(groups) {
-            match map.get_mut(&key) {
-                Some(existing) => existing.merge(&group)?,
-                None => {
-                    map.insert(key, group);
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Dispatchable shard fragment for this aggregate — present exactly
-    /// when the columnar fast plan compiled (builtin COUNT/SUM/AVG over
-    /// bare columns or literals, no uncertain arguments).
-    fn fragment(&self, trials: usize) -> Option<FoldFragment> {
-        let plan = self.fast.as_ref()?;
-        Some(FoldFragment {
-            agg_id: self.agg_id,
-            group_cols: self.group_cols.clone(),
-            kinds: plan
-                .kinds
-                .iter()
-                .map(|k| match k {
-                    FastKind::Count => FragKind::Count,
-                    FastKind::Sum => FragKind::Sum,
-                    FastKind::Avg => FragKind::Avg,
-                })
-                .collect(),
-            srcs: plan
-                .srcs
-                .iter()
-                .map(|s| match s {
-                    FastSrc::Col(i) => FragSrc::Col(*i),
-                    FastSrc::Lit(v) => FragSrc::Lit(v.clone()),
-                })
-                .collect(),
-            trials,
-        })
-    }
-
-    /// Rebuild a shipped partial group as a [`GroupSketch`] — lossless:
-    /// the engine accumulators are reconstructed bit-for-bit via their
-    /// `from_state` constructors, so a later [`GroupSketch::merge`] adds
-    /// exactly the floats a local fold of the same partition would have.
-    fn sketch_from_partial(&self, pg: PartialGroup) -> (Arc<[Value]>, GroupSketch) {
-        use iolap_engine::{AvgAcc, CountAcc, SumAcc};
-        let key: Arc<[Value]> = pg.key.into();
-        let mut accs = Vec::with_capacity(pg.calls.len());
-        let mut trials = Vec::with_capacity(pg.calls.len());
-        for call in pg.calls {
-            let (acc, kind): (Box<dyn Accumulator>, FastKind) = match call.acc {
-                AccState::Count { n } => (Box::new(CountAcc::from_state(n)), FastKind::Count),
-                AccState::Sum { sum, any } => {
-                    (Box::new(SumAcc::from_state(sum, any)), FastKind::Sum)
-                }
-                AccState::Avg { sum, n } => (Box::new(AvgAcc::from_state(sum, n)), FastKind::Avg),
-            };
-            accs.push(AccBox(acc));
-            trials.push(TrialState::Fast {
-                kind,
-                a: call.a,
-                b: call.b,
-            });
-        }
-        (
-            key,
-            GroupSketch {
-                accs,
-                trials,
-                has_certain: pg.has_certain,
-            },
-        )
+        Ok(map.into_iter().collect())
     }
 
     /// Fold `rows` into per-group sketches over the partition-stable grid
@@ -806,123 +499,100 @@ impl AggregateOp {
         // merge the per-partition partials it returns. `Ok(None)` (the
         // pool cannot take this batch — lineage cells, unencodable rows)
         // falls through to the local fold of the *same* grid.
-        if let Some(exec) = ctx.shards {
-            if let Some(frag) = self.fragment(ctx.trials) {
-                // An armed WorkerPanic fault fires here exactly once per
-                // batch (the shard pool replaces the local worker threads);
-                // catch it so it surfaces as the same `EngineError` the
-                // local path's `join` conversion produces.
-                if let Some(f) = ctx.faults {
-                    let inject = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        f.inject_worker_panic(ctx.batch_index)
-                    }));
-                    if let Err(payload) = inject {
-                        return Err(EngineError::Plan(format!(
-                            "aggregate fold worker panicked: {}",
-                            crate::faults::panic_message(payload)
-                        )));
-                    }
+        if let (Some(exec), Some(frag)) = (ctx.shards, &self.fast) {
+            // An armed WorkerPanic fault fires here exactly once per
+            // batch (the shard pool replaces the local worker threads);
+            // catch it so it surfaces as the same `EngineError` the
+            // local path's `join` conversion produces.
+            if let Some(f) = ctx.faults {
+                let inject = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    f.inject_worker_panic(ctx.batch_index)
+                }));
+                if let Err(payload) = inject {
+                    return Err(EngineError::Plan(format!(
+                        "aggregate fold worker panicked: {}",
+                        crate::faults::panic_message(payload)
+                    )));
                 }
-                let dispatch = crate::metrics::Span::start();
-                // Forward the operator span as the fold's trace parent so
-                // worker-side span summaries stitch under the right node.
-                let trace_ctx = ctx.trace.map(|t| crate::shard::ShardTraceCtx {
-                    tracer: t,
-                    parent: ctx.cur_span,
-                    batch: ctx.batch_index,
-                });
-                if let Some(mut partials) =
-                    exec.fold_traced(&frag, rows, certain, trace_ctx.as_ref())?
-                {
-                    stats.dispatch_ns = dispatch.elapsed().as_nanos() as u64;
-                    stats.partials = partials.len() as u64;
-                    stats.offloaded = true;
-                    let merge = crate::metrics::Span::start();
-                    partials.sort_by_key(|p| p.partition);
-                    let mut map: HashMap<Arc<[Value]>, GroupSketch> = HashMap::new();
-                    for part in partials {
-                        for pg in part.groups {
-                            let (key, sketch) = self.sketch_from_partial(pg);
-                            match map.get_mut(&key) {
-                                Some(existing) => existing.merge(&sketch)?,
-                                None => {
-                                    map.insert(key, sketch);
-                                }
-                            }
-                        }
-                    }
-                    stats.merge_ns = merge.elapsed().as_nanos() as u64;
-                    return Ok((map, stats));
-                }
+            }
+            let dispatch = crate::metrics::Span::start();
+            // Forward the operator span as the fold's trace parent so
+            // worker-side span summaries stitch under the right node.
+            let trace_ctx = ctx.trace.map(|t| crate::shard::ShardTraceCtx {
+                tracer: t,
+                parent: ctx.cur_span,
+                batch: ctx.batch_index,
+            });
+            if let Some(mut partials) = exec.fold_traced(frag, rows, certain, trace_ctx.as_ref())? {
+                stats.dispatch_ns = dispatch.elapsed().as_nanos() as u64;
+                stats.partials = partials.len() as u64;
+                stats.offloaded = true;
+                let merge = crate::metrics::Span::start();
+                partials.sort_by_key(|p| p.partition);
+                let map = merge_partitions(
+                    partials
+                        .into_iter()
+                        .map(|p| p.groups.into_iter().map(sketch_from_partial).collect()),
+                )?;
+                stats.merge_ns = merge.elapsed().as_nanos() as u64;
+                return Ok((map, stats));
             }
         }
         // Local path: same grid, optionally spread over worker threads.
         // Workers own contiguous partition *blocks* but still fold and
-        // ship one map per partition, so the coordinator-side merge tree
-        // is the same with 1 worker or 8.
+        // ship one group list per partition, so the coordinator-side merge
+        // tree is the same with 1 worker or 8.
         let bounds: Vec<(usize, usize)> = shard::partition_bounds(rows.len()).collect();
         let registry: &crate::registry::AggRegistry = ctx.registry;
         let trials = ctx.trials;
-        let fold_parts = |parts: &[(usize, usize)]| -> Result<Vec<_>, EngineError> {
-            let mut out = Vec::with_capacity(parts.len());
-            for &(s, e) in parts {
-                let mut map = HashMap::new();
-                self.fold_chunk(&mut map, &rows[s..e], certain, registry, trials)?;
-                out.push(map);
-            }
-            Ok(out)
+        let fold_parts = |parts: &[(usize, usize)]| -> Result<Vec<PartGroups>, EngineError> {
+            parts
+                .iter()
+                .map(|&(s, e)| self.fold_chunk(&rows[s..e], certain, registry, trials))
+                .collect()
         };
         let workers = ctx.parallelism.max(1);
-        type WorkerOut = Result<Vec<HashMap<Arc<[Value]>, GroupSketch>>, EngineError>;
-        let partials: Vec<WorkerOut> = if workers == 1 || rows.len() < 4 * workers {
-            vec![fold_parts(&bounds)]
-        } else {
-            let per = bounds.len().div_ceil(workers);
-            let faults = ctx.faults;
-            let batch_index = ctx.batch_index;
-            let fold_parts = &fold_parts;
-            // A panicking worker (e.g. a poisoned UDAF) must not abort the
-            // process: `scope` joins every handle, and a panic surfaces as
-            // an `Err` from `join`, which we convert into an `EngineError`
-            // so the driver can report a failed batch and keep going.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .chunks(per)
-                    .map(|parts| {
-                        scope.spawn(move || {
-                            if let Some(f) = faults {
-                                f.inject_worker_panic(batch_index);
-                            }
-                            fold_parts(parts)
+        let partials: Vec<Result<Vec<PartGroups>, EngineError>> =
+            if workers == 1 || rows.len() < 4 * workers {
+                vec![fold_parts(&bounds)]
+            } else {
+                let per = bounds.len().div_ceil(workers);
+                let faults = ctx.faults;
+                let batch_index = ctx.batch_index;
+                let fold_parts = &fold_parts;
+                // A panicking worker (e.g. a poisoned UDAF) must not abort the
+                // process: `scope` joins every handle, and a panic surfaces as
+                // an `Err` from `join`, which we convert into an `EngineError`
+                // so the driver can report a failed batch and keep going.
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = bounds
+                        .chunks(per)
+                        .map(|parts| {
+                            scope.spawn(move || {
+                                if let Some(f) = faults {
+                                    f.inject_worker_panic(batch_index);
+                                }
+                                fold_parts(parts)
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(result) => result,
-                        Err(payload) => Err(EngineError::Plan(format!(
-                            "aggregate fold worker panicked: {}",
-                            crate::faults::panic_message(payload)
-                        ))),
-                    })
-                    .collect()
-            })
-        };
-        let mut merged: HashMap<Arc<[Value]>, GroupSketch> = HashMap::new();
-        for worker_maps in partials {
-            for map in worker_maps? {
-                for (k, v) in map {
-                    match merged.get_mut(&k) {
-                        Some(existing) => existing.merge(&v)?,
-                        None => {
-                            merged.insert(k, v);
-                        }
-                    }
-                }
-            }
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| match h.join() {
+                            Ok(result) => result,
+                            Err(payload) => Err(EngineError::Plan(format!(
+                                "aggregate fold worker panicked: {}",
+                                crate::faults::panic_message(payload)
+                            ))),
+                        })
+                        .collect()
+                })
+            };
+        let mut parts = Vec::with_capacity(bounds.len());
+        for worker_parts in partials {
+            parts.extend(worker_parts?);
         }
-        Ok((merged, stats))
+        Ok((merge_partitions(parts)?, stats))
     }
 
     pub(crate) fn process(&mut self, ctx: &mut BatchCtx<'_>) -> Result<BatchData, EngineError> {
@@ -931,6 +601,10 @@ impl AggregateOp {
         ctx.stats.shipped_bytes += input.approx_bytes();
         let input_exhausted = input.exhausted;
         let mut out = BatchData::empty(self.schema.clone());
+        // The fast plan compiled before the run's trial count was known.
+        if let Some(frag) = &mut self.fast {
+            frag.trials = ctx.trials;
+        }
 
         // Keys touched by this batch: fresh certain rows and everything on
         // the uncertain channel. Untouched groups only need their scale
@@ -951,16 +625,9 @@ impl AggregateOp {
             // The delta map's key set is exactly the fresh rows' key set, so
             // reuse it instead of a second per-row key-allocation pass.
             touched = delta.keys().cloned().collect();
-            let mut sketch = std::mem::take(&mut self.sketch);
             for (k, v) in delta {
-                match sketch.get_mut(&k) {
-                    Some(existing) => existing.merge(&v)?,
-                    None => {
-                        sketch.insert(k, v);
-                    }
-                }
+                merge_into(&mut self.sketch, k, v)?;
             }
-            self.sketch = sketch;
         } else {
             self.unsketchable_rows
                 .extend(input.delta_certain.iter().cloned());
@@ -988,12 +655,7 @@ impl AggregateOp {
             shard_stats.absorb(fstats);
             ctx.metrics.add("agg.refold_rows", rows.len() as u64);
             for (k, v) in certain_part {
-                match temp.get_mut(&k) {
-                    Some(existing) => existing.merge(&v)?,
-                    None => {
-                        temp.insert(k, v);
-                    }
-                }
+                merge_into(&mut temp, k, v)?;
             }
             self.unsketchable_rows = rows;
         }
@@ -1175,17 +837,96 @@ impl AggregateOp {
     }
 }
 
-/// Checked dense-group-code conversion for the generic probe (the typed
-/// single-column paths bound their domain up front instead).
-fn checked_code(n: usize) -> Result<u32, EngineError> {
-    u32::try_from(n)
-        .map_err(|_| EngineError::Plan("more than u32::MAX groups in one chunk".to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolap_engine::{AggKind, BuiltinAgg, Expr};
+    use crate::shard::tests::{build_rows, gen_frag, raw_rows, GEN_TRIALS, KEY_SHAPES};
+    use iolap_engine::{AggKind, AvgAcc, BuiltinAgg, CountAcc, Expr, SumAcc};
+    use proptest::prelude::*;
+
+    /// The aggregate whose fast plan is `gen_frag(group_cols)`.
+    fn gen_op(group_cols: Vec<usize>) -> AggregateOp {
+        let schema = Schema::from_pairs(&[]);
+        let call = |kind, input| AggCall {
+            kind: AggKind::Builtin(kind),
+            input,
+            name: "x".into(),
+        };
+        let aggs = vec![
+            call(BuiltinAgg::Count, Expr::Col(2)),
+            call(BuiltinAgg::Sum, Expr::Col(2)),
+            call(BuiltinAgg::Avg, Expr::Col(2)),
+            call(BuiltinAgg::Count, Expr::Lit(Value::Int(1))),
+            call(BuiltinAgg::Sum, Expr::Lit(Value::Float(2.5))),
+        ];
+        let child = OnlineOp::Scan(crate::ops::ScanOp::new("t".into(), schema.clone(), true));
+        let uncertain = vec![false; aggs.len()];
+        let mut op = AggregateOp::new(child, group_cols, aggs, schema, 0, uncertain, false, true);
+        op.fast.as_mut().expect("fast plan compiles").trials = GEN_TRIALS;
+        op
+    }
+
+    /// Every float of a sketch, as bit patterns.
+    fn sketch_bits(s: &GroupSketch) -> (bool, Vec<Vec<u64>>) {
+        let calls = s
+            .accs
+            .iter()
+            .zip(&s.trials)
+            .map(|(acc, trials)| {
+                let any = acc.0.as_any();
+                let mut bits = if let Some(c) = any.downcast_ref::<CountAcc>() {
+                    vec![c.state().to_bits()]
+                } else if let Some(s) = any.downcast_ref::<SumAcc>() {
+                    vec![s.state().0.to_bits(), u64::from(s.state().1)]
+                } else if let Some(a) = any.downcast_ref::<AvgAcc>() {
+                    vec![a.state().0.to_bits(), a.state().1.to_bits()]
+                } else {
+                    panic!("fast sketches hold COUNT/SUM/AVG accumulators only")
+                };
+                let TrialState::Fast { a, b, .. } = trials else {
+                    panic!("fast sketches hold flat trial vectors only")
+                };
+                bits.extend(a.iter().chain(b).map(|x| x.to_bits()));
+                bits
+            })
+            .collect();
+        (s.has_certain, calls)
+    }
+
+    proptest! {
+        /// The partition kernel, rebuilt through `sketch_from_partial`, is
+        /// bit-identical to the row-at-a-time fold — over every key shape,
+        /// weighted and unweighted rows, NULL and non-numeric arguments —
+        /// and emits groups in first-occurrence order.
+        #[test]
+        fn kernel_sketches_are_bit_identical_to_the_row_path(
+            shape in 0u8..KEY_SHAPES,
+            raw in raw_rows(),
+            certain in any::<bool>(),
+        ) {
+            let (group_cols, rows) = build_rows(shape, &raw);
+            let op = gen_op(group_cols.clone());
+            prop_assert_eq!(op.fast.as_ref(), Some(&gen_frag(group_cols)));
+
+            let registry = crate::registry::AggRegistry::new();
+            let mut reference = SketchMap::new();
+            let mut first_seen: Vec<Arc<[Value]>> = Vec::new();
+            for row in &rows {
+                op.fold_row(&mut reference, row, certain, &registry, GEN_TRIALS).unwrap();
+                let key = row.to_row().key(&op.group_cols);
+                if !first_seen.contains(&key) {
+                    first_seen.push(key);
+                }
+            }
+
+            let folded = op.fold_chunk(&rows, certain, &registry, GEN_TRIALS).unwrap();
+            let keys: Vec<Arc<[Value]>> = folded.iter().map(|(k, _)| k.clone()).collect();
+            prop_assert_eq!(keys, first_seen);
+            for (key, sketch) in &folded {
+                prop_assert_eq!(sketch_bits(sketch), sketch_bits(&reference[key]), "group {:?}", key);
+            }
+        }
+    }
 
     #[test]
     fn group_sketch_merge() {

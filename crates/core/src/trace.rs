@@ -405,7 +405,11 @@ pub fn canonical_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
     out
 }
 
-fn json_escape(s: &str, out: &mut String) {
+/// Escape a string for a JSON string literal (quotes not included). The
+/// one implementation in the tree: the trace exporters, the analyzer's
+/// diagnostics, the server's wire codec and the bench record all call it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -419,6 +423,7 @@ fn json_escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out
 }
 
 fn event_ts(ev: &TraceEvent, normalize: bool) -> u64 {
@@ -452,9 +457,9 @@ pub fn export_jsonl(events: &[TraceEvent], normalize: bool) -> String {
             let _ = write!(out, "{}", ev.batch);
         }
         out.push_str(",\"name\":\"");
-        json_escape(ev.name, &mut out);
+        out.push_str(&json_escape(ev.name));
         let _ = write!(out, "\",\"n\":{},\"detail\":\"", ev.n);
-        json_escape(&ev.detail, &mut out);
+        out.push_str(&json_escape(&ev.detail));
         out.push_str("\"}\n");
     }
     out
@@ -472,7 +477,7 @@ pub fn export_chrome(events: &[TraceEvent], normalize: bool) -> String {
             out.push(',');
         }
         out.push_str("\n{\"name\":\"");
-        json_escape(ev.name, &mut out);
+        out.push_str(&json_escape(ev.name));
         let ts = event_ts(ev, normalize);
         let tid = if ev.batch == NO_BATCH {
             0
@@ -495,7 +500,7 @@ pub fn export_chrome(events: &[TraceEvent], normalize: bool) -> String {
             ",\"args\":{{\"seq\":{},\"span\":{},\"parent\":{},\"n\":{},\"detail\":\"",
             ev.seq, ev.span.0, ev.parent.0, ev.n
         );
-        json_escape(&ev.detail, &mut out);
+        out.push_str(&json_escape(&ev.detail));
         out.push_str("\"}}");
     }
     out.push_str("\n]}\n");
@@ -514,6 +519,13 @@ mod tests {
         tracer.end("Aggregate", 0, op, b, 42);
         tracer.end("batch", 0, b, q, 0);
         tracer.end("query", NO_BATCH, q, SpanId::NONE, 0);
+    }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t\u{1}"), "\\r\\t\\u0001");
+        assert_eq!(json_escape("plain é 𝄞"), "plain é 𝄞");
     }
 
     #[test]

@@ -48,6 +48,14 @@ pub fn fold_sum_weighted(a: &mut [f64], b: &mut [f64], x: f64, m: f64, ws: &[f64
     }
 }
 
+/// Merge one partial trial vector into another: `dst[t] += src[t]`.
+#[inline]
+pub fn merge_trials(dst: &mut [f64], src: &[f64]) {
+    for (x, y) in dst.iter_mut().zip(src.iter()) {
+        *x += y;
+    }
+}
+
 /// Gather one aggregate-argument column for a whole mini-batch: append to
 /// `sel` the ordinals of rows that participate in the trial fold and to
 /// `xs` their numeric argument (position-aligned with `sel`).
@@ -104,6 +112,8 @@ mod tests {
         fold_sum_uniform(&mut a2, &mut b2, 4.0, 0.5);
         assert_eq!(a2, [2.0, 2.0]);
         assert_eq!(b2, [0.5, 0.5]);
+        merge_trials(&mut a2, &[1.0, -2.0]);
+        assert_eq!(a2, [3.0, 0.0]);
     }
 
     #[test]

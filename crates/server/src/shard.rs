@@ -79,7 +79,7 @@ fn stitch_summaries(trace: &ShardTraceCtx<'_>, summaries: &[SpanSummary]) {
 // ---------------------------------------------------------------------------
 
 /// In-process shard pool: `n` scoped threads, each folding a contiguous
-/// block of grid partitions via `fold_fragment_partition`. The partials
+/// block of grid partitions via `iolap_core::fold_partition`. The partials
 /// carry global partition indices, so the coordinator's partition-order
 /// merge is identical to any other topology.
 #[derive(Debug)]
@@ -191,9 +191,9 @@ fn lock_stats(
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Fold a contiguous block of grid partitions; partials are re-indexed
-/// from block-local to global partition numbers. `None` bubbles up from
-/// any partition the interpreter cannot take (lineage cells).
+/// Fold a contiguous block of grid partitions, one kernel call per slice,
+/// labelled with global partition numbers. `None` bubbles up from any
+/// partition the kernel cannot take (lineage cells).
 fn fold_block(
     frag: &FoldFragment,
     rows: &[ORow],
@@ -201,17 +201,16 @@ fn fold_block(
     block: &[(usize, usize)],
     first_partition: usize,
 ) -> Option<Vec<FoldPartial>> {
-    let mut out = Vec::with_capacity(block.len());
-    for (off, &(s, e)) in block.iter().enumerate() {
-        // One grid slice at a time: the interpreter sees ≤ PARTITION_ROWS
-        // rows and labels the result partition 0; re-index to global.
-        let mut partials = iolap_core::fold_fragment_partition(frag, &rows[s..e], certain)?;
-        for p in &mut partials {
-            p.partition = first_partition + off;
-        }
-        out.append(&mut partials);
-    }
-    Some(out)
+    block
+        .iter()
+        .enumerate()
+        .map(|(off, &(s, e))| {
+            Some(FoldPartial {
+                partition: first_partition + off,
+                groups: iolap_core::fold_partition(frag, &rows[s..e], certain)?,
+            })
+        })
+        .collect()
 }
 
 impl ShardExec for ThreadShardPool {

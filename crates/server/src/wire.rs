@@ -455,26 +455,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
     }
 }
 
-/// Escape a string for a JSON string literal (quotes not included). The
-/// canonical implementation for the whole tree — `bench`'s emitter
-/// delegates here.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use iolap_core::trace::json_escape as escape;
 
 /// A finite JSON number; non-finite floats become `null` (JSON has no
 /// NaN) — the same policy the benchmark record uses.

@@ -47,4 +47,9 @@ cargo run --release --offline -q -p iolap-bench --bin experiments -- durability 
 echo "== cargo test"
 cargo test --workspace --release --offline -q
 
+echo "== benchmark harness (frozen: must still compile, pass and run against this tree, untouched)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
+git diff --exit-code -- benchmark BENCHMARK.json
+
 echo "== tier-1 gate passed"
