@@ -6,7 +6,8 @@
 //! and deduplicated, so runs are byte-for-byte reproducible.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` internal error (unreadable
-//! allowlist or scan failure). Wired into `scripts/check.sh`; needs no
+//! allowlist or scan failure). The same checks run inside `cargo test`
+//! (`tests/lint_repo.rs`); this binary is the standalone report. Needs no
 //! network and no third-party lint registry.
 
 use iolap_analyze::{lint_tree, repo_root, sort_findings, Allowlist, Rule};

@@ -47,9 +47,9 @@ pub mod verify;
 pub use callgraph::CallGraph;
 pub use diag::{sort_diagnostics, Diagnostic, Rule};
 pub use lint::{
-    finding_json, lint_counts, lint_files, lint_source, lint_tree, repo_root, sort_findings,
-    Allowlist, LintFinding,
+    finding_json, lint_files, lint_source, lint_tree, repo_root, sort_findings, Allowlist,
+    LintFinding,
 };
 pub use modelcheck::ModelCheckReport;
 pub use tags::{derive, expr_uncertain, Tags};
-pub use verify::{install, rule_counts, verify, verify_planned, verify_report};
+pub use verify::{install, verify, verify_planned, verify_report};

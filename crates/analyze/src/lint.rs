@@ -82,9 +82,9 @@
 //!   `OpenOptions::new` anywhere under `crates/*/src/**` except
 //!   `crates/store/` itself. A raw write has no torn-write detection and
 //!   no crash-consistent rename, so a kill mid-write corrupts state the
-//!   recovery path then trusts. The audited exceptions are the dev-only
-//!   golden-file updaters (opt-in via `IOLAP_UPDATE_GOLDEN`), allowlisted
-//!   in `scripts/lint-allow.txt`.
+//!   recovery path then trusts. The golden-file updaters (opt-in via
+//!   `IOLAP_UPDATE_GOLDEN`) live in test files, which the lints do not
+//!   scan, so no exception is allowlisted.
 //!
 //! Tokens after the first `#[cfg(test)]` attribute (the repo convention
 //! keeps test modules last) are not linted. Audited exceptions live in
@@ -760,14 +760,6 @@ pub fn repo_root() -> PathBuf {
         .join("../..")
         .canonicalize()
         .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
-}
-
-/// Per-rule finding counts, zero-filled across all lint rules.
-pub fn lint_counts(findings: &[LintFinding]) -> Vec<(Rule, usize)> {
-    Rule::lint_rules()
-        .iter()
-        .map(|&r| (r, findings.iter().filter(|f| f.rule == r).count()))
-        .collect()
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

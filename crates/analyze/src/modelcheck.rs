@@ -667,10 +667,7 @@ pub fn run(max_depth: usize) -> ModelCheckReport {
     report
 }
 
-/// Depth used by `--smoke` runs (1 514 cells); full runs use
-/// [`FULL_DEPTH`] (40 880 cells).
-pub const SMOKE_DEPTH: usize = 3;
-/// Depth used by full `experiments analyze` runs.
+/// Depth of the exhaustive unit test over the plan space (40 880 cells).
 pub const FULL_DEPTH: usize = 4;
 
 #[cfg(test)]
@@ -719,6 +716,18 @@ mod tests {
             report.cells
         );
         assert!(report.probes > 0, "probes must actually run");
+    }
+
+    #[test]
+    fn full_depth_space_is_exhaustively_clean() {
+        let report = run(FULL_DEPTH);
+        assert_eq!(report.cells, 40_880);
+        assert_eq!(report.violations(), 0, "{}", report.to_json());
+        assert_eq!(
+            report.accepted + report.agreed_rejected + report.sound_rejected.len(),
+            report.cells
+        );
+        assert_eq!(report.probes, 151_686);
     }
 
     #[test]

@@ -104,8 +104,7 @@ pub fn verify(q: &OnlineQuery) -> Vec<Diagnostic> {
 }
 
 /// Rewrite `pq` for online execution over `stream_table` and verify the
-/// result. Convenience entry point for test suites and the `experiments
-/// verify-plans` subcommand.
+/// result. Convenience entry point for test suites.
 pub fn verify_planned(
     pq: &PlannedQuery,
     stream_table: &str,
@@ -134,15 +133,6 @@ pub fn verify_report(q: &OnlineQuery) -> Result<(), String> {
 /// batch 0 (debug builds only). Idempotent and process-wide.
 pub fn install() {
     iolap_core::install_plan_verifier(verify_report);
-}
-
-/// Per-rule violation counts over `diags`, zero-filled across all verifier
-/// rules (so "0 violations" is an explicit, trackable record).
-pub fn rule_counts(diags: &[Diagnostic]) -> Vec<(Rule, usize)> {
-    Rule::verifier_rules()
-        .iter()
-        .map(|&r| (r, diags.iter().filter(|d| d.rule == r).count()))
-        .collect()
 }
 
 fn uncertain_key_cols(keys: &[Expr], attrs: &[bool]) -> Vec<usize> {

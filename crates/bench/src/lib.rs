@@ -1,33 +1,20 @@
 //! # iolap-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§8). Each `exp_*` binary prints the same rows/series the
-//! paper reports; `EXPERIMENTS.md` records paper-vs-measured shape
-//! comparisons. Criterion benches under `benches/` exercise the same code
-//! paths at reduced scale so `cargo bench --workspace` covers each
-//! experiment.
+//! evaluation (§8). Each subcommand of the `experiments` binary prints the
+//! same rows/series the paper reports; `EXPERIMENTS.md` records
+//! paper-vs-measured shape comparisons. Correctness is gated by
+//! `cargo test`, not by this crate.
 
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod durability;
-pub mod json;
-pub mod observe;
 pub mod serve;
-pub mod shard;
-
-pub use analysis::{run_analysis, AnalysisRecord};
-pub use durability::{durability_sweep, DurabilityRecord};
-pub use observe::{observe_sweep, TelemetryRecord};
-pub use shard::{shard_sweep, ShardCell, ShardingRecord, TcpProbe};
 
 // Workload constructors install the static plan verifier into the core
 // driver's debug hook, so every debug-build experiment re-verifies its
 // rewritten plan before batch 0.
 use iolap_baselines::{run_baseline_plan, BaselineReport, HdaDriver};
-use iolap_core::{
-    BatchReport, FaultKind, FaultPlan, IolapConfig, IolapDriver, Metrics, TraceEvent, TraceMode,
-};
+use iolap_core::{BatchReport, IolapConfig, IolapDriver, Metrics, TraceEvent, TraceMode};
 use iolap_engine::{plan_sql, FunctionRegistry, PlannedQuery};
 use iolap_relation::{Catalog, PartitionMode};
 use iolap_workloads::QuerySpec;
@@ -51,7 +38,7 @@ pub struct ExpScale {
 }
 
 impl ExpScale {
-    /// Full experiment scale (the `exp_*` binaries).
+    /// Full experiment scale (the default).
     pub fn full() -> Self {
         ExpScale {
             tpch_sf: 4.0,
@@ -62,7 +49,7 @@ impl ExpScale {
         }
     }
 
-    /// Reduced scale for Criterion benches.
+    /// Reduced scale for a quick pass over every figure.
     pub fn bench() -> Self {
         ExpScale {
             tpch_sf: 0.5,
@@ -73,24 +60,35 @@ impl ExpScale {
         }
     }
 
-    /// Scale taken from the `IOLAP_SCALE` environment variable
-    /// (`full` | `bench` | a float multiplier on `full`).
-    pub fn from_env() -> Self {
-        match std::env::var("IOLAP_SCALE").ok().as_deref() {
-            Some("bench") => ExpScale::bench(),
-            Some(s) => {
-                if let Ok(mult) = s.parse::<f64>() {
+    /// Parse an `IOLAP_SCALE` value: `full`, `bench`, or a positive finite
+    /// multiplier on the `full` data sizes. Anything else is an error, so
+    /// a typo never silently starts a full-scale run.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "full" => Ok(ExpScale::full()),
+            "bench" => Ok(ExpScale::bench()),
+            _ => match s.parse::<f64>() {
+                Ok(mult) if mult.is_finite() && mult > 0.0 => {
                     let base = ExpScale::full();
-                    ExpScale {
+                    Ok(ExpScale {
                         tpch_sf: base.tpch_sf * mult,
                         conviva_rows: ((base.conviva_rows as f64) * mult) as usize,
                         ..base
-                    }
-                } else {
-                    ExpScale::full()
+                    })
                 }
-            }
-            None => ExpScale::full(),
+                _ => Err(format!(
+                    "IOLAP_SCALE={s:?}: expected `full`, `bench` or a positive multiplier"
+                )),
+            },
+        }
+    }
+
+    /// Scale taken from the `IOLAP_SCALE` environment variable (see
+    /// [`ExpScale::parse`]); `full` when unset.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("IOLAP_SCALE") {
+            Ok(s) => ExpScale::parse(&s),
+            Err(_) => Ok(ExpScale::full()),
         }
     }
 
@@ -151,23 +149,6 @@ impl Workload {
             .unwrap_or_else(|e| panic!("{}: {e}", q.id));
         d.run_to_completion()
             .unwrap_or_else(|e| panic!("{}: {e}", q.id))
-    }
-
-    /// Run a query through iOLAP to completion, also returning the
-    /// driver's cumulative metrics (for the `--json` record).
-    pub fn run_iolap_with_metrics(
-        &self,
-        q: &QuerySpec,
-        config: IolapConfig,
-    ) -> (Vec<BatchReport>, Metrics) {
-        let pq = self.plan(q);
-        let mut d = IolapDriver::from_plan(&pq, &self.catalog, q.stream_table, config)
-            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let reports = d
-            .run_to_completion()
-            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let cumulative = d.metrics().clone();
-        (reports, cumulative)
     }
 
     /// Run a query through iOLAP with the full event journal armed,
@@ -249,205 +230,6 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Tracing cost on the Fig 9(a) optimization-breakdown sweep (Conviva C2):
-/// the same query run untraced and with the full journal armed.
-#[derive(Clone, Debug)]
-pub struct TraceOverhead {
-    /// Per batch: `(untraced ms, traced ms)`.
-    pub per_batch_ms: Vec<(f64, f64)>,
-    /// Total latency, tracing off.
-    pub total_off: Duration,
-    /// Total latency, journal armed.
-    pub total_on: Duration,
-    /// Journal events the traced run recorded.
-    pub events: usize,
-}
-
-impl TraceOverhead {
-    /// Tracing overhead in percent of the untraced total (can be slightly
-    /// negative under timer noise).
-    pub fn pct(&self) -> f64 {
-        100.0 * (ratio(self.total_on, self.total_off) - 1.0)
-    }
-}
-
-/// Measure tracing overhead on Conviva C2 (the Fig 9(a) query): one warm-up
-/// run, then an untraced and a journal-armed run back to back. The `--json`
-/// record embeds the result against the < 5 % overhead budget.
-pub fn measure_trace_overhead(scale: &ExpScale) -> TraceOverhead {
-    let w = conviva_workload(scale);
-    let q = w.queries.iter().find(|q| q.id == "C2").unwrap().clone();
-    let _warm = w.run_iolap(&q, scale.config());
-    let off = w.run_iolap(&q, scale.config());
-    let (on, events, _) = w.run_iolap_traced(&q, scale.config());
-    TraceOverhead {
-        per_batch_ms: off
-            .iter()
-            .zip(on.iter())
-            .map(|(a, b)| (a.elapsed.as_secs_f64() * 1e3, b.elapsed.as_secs_f64() * 1e3))
-            .collect(),
-        total_off: total_latency(&off),
-        total_on: total_latency(&on),
-        events: events.len(),
-    }
-}
-
-/// One fault-storm cell: a single driver run under one injected fault.
-#[derive(Clone, Debug)]
-pub struct FaultStormRun {
-    /// Workload label.
-    pub workload: &'static str,
-    /// Query id (`"Q17"`, `"C8"`, …).
-    pub query: &'static str,
-    /// Fault-kind label (see `FaultKind::label`).
-    pub kind: &'static str,
-    /// Batch the fault was armed at.
-    pub batch: usize,
-    /// Checkpoint interval the run used.
-    pub interval: usize,
-    /// Total fault fires observed by the injector.
-    pub fired: u64,
-    /// Whether the final batch's answer agreed with the exact offline
-    /// baseline (Theorem 1 at `m = 1`).
-    pub agree: bool,
-    /// Batches that reported a recovery.
-    pub recoveries: usize,
-    /// Flight-recorder dump captured after the run (the storm arms the
-    /// bounded ring, so every run carries its own black box).
-    pub dump: Option<String>,
-}
-
-/// The most informative flight-recorder dump in a storm: prefer a run
-/// whose recovery cascaded, then any run that replayed, then any run whose
-/// fault fired at all.
-pub fn storm_flight_dump(runs: &[FaultStormRun]) -> Option<&str> {
-    let by = |pat: &str| {
-        runs.iter()
-            .filter_map(|r| r.dump.as_deref())
-            .find(|d| d.contains(pat))
-    };
-    by("recovery.cascade")
-        .or_else(|| by("recovery.replay"))
-        .or_else(|| by("fault.injected"))
-}
-
-/// Every fault kind the storm sweeps, with its stable label.
-pub fn fault_storm_kinds() -> Vec<(&'static str, FaultKind)> {
-    vec![
-        (
-            "fail_range",
-            FaultKind::FailRange {
-                agg: None,
-                column: None,
-            },
-        ),
-        ("drop_checkpoint", FaultKind::DropCheckpoint),
-        ("corrupt_checkpoint", FaultKind::CorruptCheckpoint),
-        ("worker_panic", FaultKind::WorkerPanic),
-        ("deref_panic", FaultKind::DerefPanic),
-        ("perturb_ranges", FaultKind::PerturbRanges { epsilon: 0.25 }),
-    ]
-}
-
-/// The §5.1 fault storm: sweep fault kind × armed batch × checkpoint
-/// interval over the nested flagship queries (TPC-H Q17/Q20, Conviva C8),
-/// checking every run's *final* answer against the exact offline baseline
-/// — Theorem 1's anchor point, which fault injection must not move.
-/// `smoke` shrinks the sweep to one batch point and two intervals so the
-/// offline gate stays fast; the full sweep covers three of each.
-pub fn fault_storm(scale: &ExpScale, smoke: bool) -> Vec<FaultStormRun> {
-    fault_storm_sharded(scale, smoke, 0)
-}
-
-/// [`fault_storm`] with fold dispatch offloaded to an in-process shard
-/// pool of `shards` workers (`0` = unsharded). The scale-out path must
-/// not cost a single Theorem-1-exact cell — see `experiments shard`.
-pub fn fault_storm_sharded(scale: &ExpScale, smoke: bool, shards: usize) -> Vec<FaultStormRun> {
-    // Injected worker/deref panics are caught and recovered by the driver,
-    // but the default panic hook would still spray their backtraces over
-    // the report — silence it for the storm's duration.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        fault_storm_inner(scale, smoke, shards)
-    }));
-    std::panic::set_hook(prev_hook);
-    match out {
-        Ok(runs) => runs,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-fn fault_storm_inner(scale: &ExpScale, smoke: bool, shards: usize) -> Vec<FaultStormRun> {
-    let mut out = Vec::new();
-    let suites: [(Workload, &[&str]); 2] = [
-        (tpch_workload(scale), &["Q17", "Q20"]),
-        (conviva_workload(scale), &["C8"]),
-    ];
-    let b = scale.batches;
-    let batch_points: Vec<usize> = if smoke {
-        // One point, chosen to be a save batch under every swept interval
-        // so the checkpoint faults actually arm (first i ≥ b/2 with
-        // (i+1) % 3 == 0 — also a save batch at interval 1).
-        vec![(b / 2..b).find(|i| (i + 1) % 3 == 0).unwrap_or(b / 2)]
-    } else {
-        vec![1, b / 2, b.saturating_sub(1)]
-    };
-    let intervals: Vec<usize> = if smoke { vec![1, 3] } else { vec![1, 2, 3] };
-    for (w, ids) in suites {
-        for id in ids {
-            let q = w
-                .queries
-                .iter()
-                .find(|q| q.id == *id)
-                .unwrap_or_else(|| panic!("unknown storm query {id}"))
-                .clone();
-            let baseline = w.run_baseline(&q);
-            let pq = w.plan(&q);
-            for (label, kind) in fault_storm_kinds() {
-                for &bp in &batch_points {
-                    for &iv in &intervals {
-                        let mut cfg = scale.config();
-                        cfg.checkpoint_interval = iv;
-                        if matches!(kind, FaultKind::WorkerPanic) {
-                            cfg = cfg.parallelism(2);
-                        }
-                        // Every storm run flies with the bounded recorder
-                        // armed: a run that dies leaves a black box, and a
-                        // run that recovers documents its replays.
-                        let cfg = cfg
-                            .fault_plan(FaultPlan::new(scale.seed).with(bp, kind.clone()))
-                            .flight_recorder();
-                        let mut d = IolapDriver::from_plan(&pq, &w.catalog, q.stream_table, cfg)
-                            .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        if shards > 0 {
-                            d.set_shard_exec(std::sync::Arc::new(
-                                iolap_server::shard::ThreadShardPool::new(shards),
-                            ));
-                        }
-                        let reports = d
-                            .run_to_completion()
-                            .unwrap_or_else(|e| panic!("{id} under {label}@{bp}: {e}"));
-                        let last = reports.last().expect("at least one batch");
-                        out.push(FaultStormRun {
-                            workload: w.name,
-                            query: q.id,
-                            kind: label,
-                            batch: bp,
-                            interval: iv,
-                            fired: d.fault_fires().iter().map(|(_, _, n)| n).sum(),
-                            agree: last.result.relation.approx_eq(&baseline.relation, 1e-6),
-                            recoveries: reports.iter().filter(|r| r.recovered).count(),
-                            dump: d.flight_dump(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +242,20 @@ mod tests {
         let c = conviva_workload(&scale);
         assert!(c.catalog.contains("sessions"));
         assert_eq!(c.queries.len(), 13); // SBI + C1..C12
+    }
+
+    #[test]
+    fn scale_parse_rejects_anything_but_full_bench_or_a_positive_multiplier() {
+        assert_eq!(ExpScale::parse("bench").unwrap().conviva_rows, 3_000);
+        assert_eq!(ExpScale::parse("full").unwrap().conviva_rows, 24_000);
+        let half = ExpScale::parse("0.5").unwrap();
+        assert_eq!(half.conviva_rows, 12_000);
+        assert_eq!(half.tpch_sf, 2.0);
+        assert_eq!(half.batches, ExpScale::full().batches);
+        for bad in ["smoke", "0", "-1", "NaN"] {
+            let err = ExpScale::parse(bad).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
     }
 
     #[test]

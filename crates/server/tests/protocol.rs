@@ -417,40 +417,6 @@ fn sharded_server_reports_are_byte_identical() {
 /// every value byte exactly as the wire carried it (floats re-render via
 /// the same `num` policy both servers used).
 fn render_report_stable(r: &JVal) -> String {
-    fn render(v: &JVal, out: &mut String) {
-        use std::fmt::Write as _;
-        match v {
-            JVal::Null => out.push_str("null"),
-            JVal::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            JVal::Num(n) => out.push_str(&iolap_server::wire::num(*n)),
-            JVal::Str(s) => {
-                let _ = write!(out, "\"{}\"", iolap_server::wire::escape(s));
-            }
-            JVal::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
-                }
-                out.push(']');
-            }
-            JVal::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":", iolap_server::wire::escape(k));
-                    render(v, out);
-                }
-                out.push('}');
-            }
-        }
-    }
     let mut masked = r.clone();
     if let JVal::Obj(members) = &mut masked {
         for (k, v) in members.iter_mut() {
@@ -459,9 +425,7 @@ fn render_report_stable(r: &JVal) -> String {
             }
         }
     }
-    let mut out = String::new();
-    render(&masked, &mut out);
-    out
+    masked.render()
 }
 
 /// The `metrics` op: a Prometheus-style exposition plus the structured
@@ -687,27 +651,40 @@ fn resume_distinguishes_unknown_from_finished_sessions() {
     );
 }
 
-/// Streaming append mid-run: the server folds the new rows in as an extra
-/// mini-batch, and the resulting report stream is byte-identical (modulo
-/// wall clock) to a driver-level run that appends the same rows at the
-/// same position — Theorem 1's exact final answer now covers the appended
-/// rows (`fraction` returns to 1.0 on the last batch).
+/// Streaming append mid-run, for every built-in Conviva query: the server
+/// folds the new rows in as an extra mini-batch, and the resulting report
+/// stream is byte-identical (modulo wall clock) to a driver-level run that
+/// appends the same rows at the same position — Theorem 1's exact final
+/// answer now covers the appended rows (`fraction` returns to 1.0 on the
+/// last batch).
 #[test]
 fn append_mid_run_extends_the_session_exactly() {
     let rows = 300usize;
     let batches = 3usize;
+    let catalog = iolap_workloads::conviva_catalog(rows, 17);
+    let registry = iolap_workloads::conviva_registry();
+    let f = factory_sized(rows, batches);
+    for q in iolap_workloads::conviva_queries() {
+        append_mid_run_matches_oracle(&q, &catalog, &registry, &f, batches);
+    }
+}
+
+fn append_mid_run_matches_oracle(
+    q: &iolap_workloads::QuerySpec,
+    catalog: &iolap_relation::Catalog,
+    registry: &iolap_engine::FunctionRegistry,
+    f: &SubmitFactory,
+    batches: usize,
+) {
     let appended = r#"[[901,1,"cdn-x","SFO","US","isp-a","vod",12.5,3.5,1.25,2400,0],[902,2,"cdn-y","LAX","US","isp-b","live",2.5,7.25,0.5,3200,1]]"#;
+    let query = q.id;
 
     // Driver-level oracle: step once, append after the first batch (the
     // position the parked server applies it at below), run to the end.
-    let catalog = iolap_workloads::conviva_catalog(rows, 17);
-    let registry = iolap_workloads::conviva_registry();
-    let queries = iolap_workloads::conviva_queries();
-    let q = queries.iter().find(|q| q.id == "C3").unwrap();
-    let pq = plan_sql(q.sql, &catalog, &registry).unwrap();
+    let pq = plan_sql(q.sql, catalog, registry).unwrap();
     let mut cfg = IolapConfig::with_batches(batches).trials(10).seed(17);
     cfg.partition_mode = iolap_relation::PartitionMode::RowShuffle;
-    let mut driver = IolapDriver::from_plan(&pq, &catalog, q.stream_table, cfg).unwrap();
+    let mut driver = IolapDriver::from_plan(&pq, catalog, q.stream_table, cfg).unwrap();
     let mut oracle = Vec::new();
     oracle.push(driver.step().unwrap().unwrap());
     let rel = iolap_server::durable::rows_to_relation(
@@ -719,7 +696,11 @@ fn append_mid_run_extends_the_session_exactly() {
     while let Some(r) = driver.step() {
         oracle.push(r.unwrap());
     }
-    assert_eq!(oracle.len(), batches + 1, "append adds one mini-batch");
+    assert_eq!(
+        oracle.len(),
+        batches + 1,
+        "{query}: append adds one mini-batch"
+    );
     let oracle: Vec<String> = oracle
         .iter()
         .map(|r| render_report_stable(&parse(&iolap_server::tcp::report_json(r)).unwrap()))
@@ -728,13 +709,12 @@ fn append_mid_run_extends_the_session_exactly() {
     // Server run: buffer=1 parks the worker after each batch, so the
     // append lands deterministically between batch 0 and batch 1.
     let server = Server::new(ServerConfig::with_workers(1).report_buffer(1));
-    let f = factory_sized(rows, batches);
     let mut sessions = BTreeMap::new();
     let resp = handle_request(
         &server,
-        &f,
+        f,
         &mut sessions,
-        r#"{"op":"submit","query":"C3","label":"grow"}"#,
+        &format!(r#"{{"op":"submit","query":"{query}","label":"grow"}}"#),
     );
     let id = field_u64(&parse(&resp).unwrap(), "session").unwrap();
     let handle = sessions.get(&id).unwrap();
@@ -744,11 +724,15 @@ fn append_mid_run_extends_the_session_exactly() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(handle.summary().pending_reports, 1, "worker must be parked");
+    assert_eq!(
+        handle.summary().pending_reports,
+        1,
+        "{query}: worker must be parked"
+    );
 
     let resp = handle_request(
         &server,
-        &f,
+        f,
         &mut sessions,
         &format!(r#"{{"op":"append","table":"sessions","rows":{appended}}}"#),
     );
@@ -760,7 +744,7 @@ fn append_mid_run_extends_the_session_exactly() {
     for _ in 0..1000 {
         let resp = handle_request(
             &server,
-            &f,
+            f,
             &mut sessions,
             &format!(r#"{{"op":"poll","session":{id},"max":1}}"#),
         );
@@ -775,11 +759,18 @@ fn append_mid_run_extends_the_session_exactly() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(got, oracle, "server stream must match the driver oracle");
+    assert_eq!(
+        got, oracle,
+        "{query}: server stream must match the driver oracle"
+    );
     // Theorem-1 agreement: the last batch scales by 1.0 again — its
     // fraction covers the full (grown) stream.
     let last = parse(got.last().unwrap()).unwrap();
-    assert_eq!(last.get("fraction").and_then(JVal::as_f64), Some(1.0));
+    assert_eq!(
+        last.get("fraction").and_then(JVal::as_f64),
+        Some(1.0),
+        "{query}"
+    );
 }
 
 /// Hostile labels — quotes, backslashes, control characters — must round

@@ -1,7 +1,8 @@
 //! Kill-and-recover integration: the crash-point matrix.
 //!
 //! A durable server is killed (dropped without a clean finish) at every
-//! batch boundary of a session, restarted over the same log directory,
+//! batch boundary of a session of every built-in Conviva query, restarted
+//! over the same log directory,
 //! and the session replayed through [`Server::recover`]. The pinned
 //! contract is the tentpole invariant: the report stream a resumed
 //! client sees is **byte-identical** (modulo the masked wall clock) to
@@ -65,40 +66,6 @@ fn cfg(dir: &Path) -> ServerConfig {
 /// Re-render a report with `elapsed_ms` pinned to 0 so streams from
 /// different processes compare bytewise.
 fn masked(r: &JVal) -> String {
-    fn render(v: &JVal, out: &mut String) {
-        use std::fmt::Write as _;
-        match v {
-            JVal::Null => out.push_str("null"),
-            JVal::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            JVal::Num(n) => out.push_str(&iolap_server::wire::num(*n)),
-            JVal::Str(s) => {
-                let _ = write!(out, "\"{}\"", iolap_server::wire::escape(s));
-            }
-            JVal::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
-                }
-                out.push(']');
-            }
-            JVal::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":", iolap_server::wire::escape(k));
-                    render(v, out);
-                }
-                out.push('}');
-            }
-        }
-    }
     let mut pinned = r.clone();
     if let JVal::Obj(members) = &mut pinned {
         for (k, v) in members.iter_mut() {
@@ -107,17 +74,20 @@ fn masked(r: &JVal) -> String {
             }
         }
     }
-    let mut out = String::new();
-    render(&pinned, &mut out);
-    out
+    pinned.render()
 }
 
-fn submit(server: &Server, f: &SubmitFactory, sessions: &mut BTreeMap<u64, SessionHandle>) -> u64 {
+fn submit(
+    server: &Server,
+    f: &SubmitFactory,
+    sessions: &mut BTreeMap<u64, SessionHandle>,
+    query: &str,
+) -> u64 {
     let resp = handle_request(
         server,
         f,
         sessions,
-        r#"{"op":"submit","query":"C3","label":"crash"}"#,
+        &format!(r#"{{"op":"submit","query":"{query}","label":"crash"}}"#),
     );
     let v = parse(&resp).unwrap();
     assert_eq!(v.get("ok").and_then(JVal::as_bool), Some(true), "{resp}");
@@ -198,30 +168,40 @@ fn wait_for_boundary(handle: &SessionHandle, batches: usize) {
     );
 }
 
-fn uninterrupted_baseline(f: &SubmitFactory) -> Vec<String> {
-    let dir = scratch_dir("baseline");
+fn uninterrupted_baseline(f: &SubmitFactory, query: &str) -> Vec<String> {
+    let dir = scratch_dir(&format!("{query}-baseline"));
     let server = Server::new(cfg(&dir));
     let mut sessions = BTreeMap::new();
-    let id = submit(&server, f, &mut sessions);
+    let id = submit(&server, f, &mut sessions, query);
     let lines = poll_to_done(&server, f, &mut sessions, id);
-    assert_eq!(lines.len(), BATCHES);
+    assert_eq!(lines.len(), BATCHES, "{query}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
     lines
 }
 
-/// The matrix itself: kill at every batch boundary `m in 1..BATCHES`,
-/// restart, recover, resume — the pre-crash prefix and the full resumed
-/// stream must both match the uninterrupted baseline bytewise.
+/// The matrix itself, for every built-in Conviva query: kill at every
+/// batch boundary `m in 1..BATCHES`, restart, recover, resume — the
+/// pre-crash prefix and the full resumed stream must both match the
+/// uninterrupted baseline bytewise.
 #[test]
 fn crash_at_every_batch_boundary_preserves_the_report_stream() {
     let f = factory();
-    let baseline = uninterrupted_baseline(&f);
+    for q in iolap_workloads::conviva_queries() {
+        crash_matrix(&f, q.id);
+    }
+}
+
+fn crash_matrix(f: &SubmitFactory, query: &str) {
+    let baseline = uninterrupted_baseline(f, query);
 
     for m in 1..BATCHES {
-        let dir = scratch_dir(&format!("cell{m}"));
+        let cell = format!("{query} cell {m}");
+        let dir = scratch_dir(&format!("{query}-cell{m}"));
         let pre = {
             let server = Server::new(cfg(&dir));
             let mut sessions = BTreeMap::new();
-            let id = submit(&server, &f, &mut sessions);
+            let id = submit(&server, f, &mut sessions, query);
             let mut pre = Vec::new();
             for k in 0..m {
                 // Each delivered report un-parks the worker for exactly
@@ -229,26 +209,26 @@ fn crash_at_every_batch_boundary_preserves_the_report_stream() {
                 // buffered (spilled, never delivered) when we kill.
                 wait_for_boundary(sessions.get(&id).unwrap(), k + 1);
                 if k + 1 < m {
-                    pre.push(poll_one(&server, &f, &mut sessions, id));
+                    pre.push(poll_one(&server, f, &mut sessions, id));
                 }
             }
             pre
             // `server` dropped here without finish(): the kill. No 'D'
             // record is written; the log ends at batch m-1's checkpoint.
         };
-        assert_eq!(pre, baseline[..m - 1], "cell {m}: pre-crash prefix");
+        assert_eq!(pre, baseline[..m - 1], "{cell}: pre-crash prefix");
 
         let server = Server::new(cfg(&dir));
-        let recovered = server.recover(&f);
-        assert_eq!(recovered.resumed.len(), 1, "cell {m}: {recovered:?}");
-        assert_eq!(recovered.replayed_batches, m, "cell {m}");
-        assert_eq!(recovered.stale_digests, 0, "cell {m}");
+        let recovered = server.recover(f);
+        assert_eq!(recovered.resumed.len(), 1, "{cell}: {recovered:?}");
+        assert_eq!(recovered.replayed_batches, m, "{cell}");
+        assert_eq!(recovered.stale_digests, 0, "{cell}");
         let id = recovered.resumed[0];
 
         let mut sessions = BTreeMap::new();
         let resp = handle_request(
             &server,
-            &f,
+            f,
             &mut sessions,
             &format!(r#"{{"op":"resume","session":{id}}}"#),
         );
@@ -265,15 +245,17 @@ fn crash_at_every_batch_boundary_preserves_the_report_stream() {
         let expo = server.exposition(true);
         assert!(
             expo.contains("iolap_durable_resumed_sessions_total 1"),
-            "cell {m}: {expo}"
+            "{cell}: {expo}"
         );
         assert!(
             expo.contains(&format!("iolap_durable_replayed_batches_total {m}")),
-            "cell {m}"
+            "{cell}"
         );
 
-        let post = poll_to_done(&server, &f, &mut sessions, id);
-        assert_eq!(post, baseline, "cell {m}: resumed stream diverged");
+        let post = poll_to_done(&server, f, &mut sessions, id);
+        assert_eq!(post, baseline, "{cell}: resumed stream diverged");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -283,14 +265,14 @@ fn crash_at_every_batch_boundary_preserves_the_report_stream() {
 #[test]
 fn restart_during_recovery_replay_is_idempotent() {
     let f = factory();
-    let baseline = uninterrupted_baseline(&f);
+    let baseline = uninterrupted_baseline(&f, "C3");
     let m = 2;
 
     let dir = scratch_dir("double");
     let id = {
         let server = Server::new(cfg(&dir));
         let mut sessions = BTreeMap::new();
-        let id = submit(&server, &f, &mut sessions);
+        let id = submit(&server, &f, &mut sessions, "C3");
         wait_for_boundary(sessions.get(&id).unwrap(), 1);
         let _ = poll_one(&server, &f, &mut sessions, id);
         wait_for_boundary(sessions.get(&id).unwrap(), m);
@@ -336,7 +318,7 @@ fn completed_sessions_stay_finished_across_restart() {
     let id = {
         let server = Server::new(cfg(&dir));
         let mut sessions = BTreeMap::new();
-        let id = submit(&server, &f, &mut sessions);
+        let id = submit(&server, &f, &mut sessions, "C3");
         let lines = poll_to_done(&server, &f, &mut sessions, id);
         assert_eq!(lines.len(), BATCHES);
         id
@@ -361,7 +343,7 @@ fn completed_sessions_stay_finished_across_restart() {
     );
     // Recovered ids stay reserved: a fresh submission must not collide
     // with the finished session's on-disk log.
-    let fresh = submit(&server, &f, &mut sessions);
+    let fresh = submit(&server, &f, &mut sessions, "C3");
     assert!(fresh > id, "fresh id {fresh} collides with recovered {id}");
 }
 
@@ -378,7 +360,7 @@ fn appends_survive_restart_at_their_original_position() {
         let dir = scratch_dir("grown-base");
         let server = Server::new(cfg(&dir));
         let mut sessions = BTreeMap::new();
-        let id = submit(&server, &f, &mut sessions);
+        let id = submit(&server, &f, &mut sessions, "C3");
         wait_for_boundary(sessions.get(&id).unwrap(), 1);
         let resp = handle_request(
             &server,
@@ -401,7 +383,7 @@ fn appends_survive_restart_at_their_original_position() {
     let id = {
         let server = Server::new(cfg(&dir));
         let mut sessions = BTreeMap::new();
-        let id = submit(&server, &f, &mut sessions);
+        let id = submit(&server, &f, &mut sessions, "C3");
         wait_for_boundary(sessions.get(&id).unwrap(), 1);
         let resp = handle_request(
             &server,

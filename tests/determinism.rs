@@ -295,6 +295,115 @@ fn multi_tenant_canonical_telemetry_is_bytewise_deterministic() {
     );
 }
 
+/// The pinned configuration both golden files were recorded at.
+fn golden_config(batches: usize, trials: usize) -> IolapConfig {
+    let mut c = IolapConfig::with_batches(batches).trials(trials).seed(2016);
+    c.partition_mode = PartitionMode::RowShuffle;
+    c
+}
+
+/// Byte-compare `got` against the checked-in `scripts/<name>`, reporting
+/// the first differing line. `IOLAP_UPDATE_GOLDEN=1` rewrites the file
+/// instead, after an audited change.
+fn check_golden(name: &str, got: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scripts")
+        .join(name);
+    if std::env::var("IOLAP_UPDATE_GOLDEN").as_deref() == Ok("1") {
+        std::fs::write(&path, got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    if want != got {
+        // Past the shorter file's end when one is a prefix of the other.
+        let i = want
+            .lines()
+            .zip(got.lines())
+            .position(|(w, g)| w != g)
+            .unwrap_or_else(|| want.lines().count().min(got.lines().count()));
+        panic!(
+            "output drifted from scripts/{name} at line {}\n  want: {}\n  got:  {}\n\
+             if the change is intentional, regenerate with IOLAP_UPDATE_GOLDEN=1",
+            i + 1,
+            want.lines().nth(i).unwrap_or(""),
+            got.lines().nth(i).unwrap_or("")
+        );
+    }
+}
+
+/// Trace schema golden: C2 on a pinned 300-row Conviva catalog with the
+/// journal armed. The normalized Chrome export must equal
+/// `scripts/trace-schema.golden`, so any drift in the event schema or in
+/// seeded determinism is a reviewed change.
+#[test]
+fn trace_export_matches_the_schema_golden() {
+    use iolap_core::{export_chrome, TraceMode};
+    let cat = conviva_catalog(300, 2016);
+    let q = conviva_query("C2").unwrap();
+    let pq = plan_sql(q.sql, &cat, &conviva_registry()).unwrap();
+    let cfg = golden_config(3, 10).trace_mode(TraceMode::Journal);
+    let mut d = IolapDriver::from_plan(&pq, &cat, q.stream_table, cfg).unwrap();
+    d.run_to_completion().unwrap();
+    check_golden(
+        "trace-schema.golden",
+        &export_chrome(&d.trace_events(), true),
+    );
+}
+
+/// Exposition golden: a pinned four-session fleet — two tenants, a
+/// hostile label that must survive Prometheus escaping, and one session
+/// per stop-policy family — on two workers and two fold shards. The
+/// canonical exposition must equal `scripts/observe-exposition.golden`.
+/// Sessions are joined before any client drains, so the `sess.finish`
+/// mark cannot race a client. The deadline is generous so the session
+/// always completes inside it.
+#[test]
+fn fleet_exposition_matches_the_golden() {
+    use iolap_core::TraceMode;
+    use iolap_server::{Server, ServerConfig, SessionSpec, StopPolicy};
+    use std::time::Duration;
+
+    let cat = conviva_catalog(600, 2016);
+    let registry = conviva_registry();
+    let ci = StopPolicy::RelativeCI {
+        target: 0.5,
+        confidence: 0.95,
+    };
+    let fleet = [
+        ("C2", StopPolicy::complete(), "acme"),
+        ("C2", ci, "acme"),
+        ("C3", StopPolicy::Batches(3), "bob\"s \\shop"),
+        ("SBI", StopPolicy::Deadline(Duration::from_secs(60)), ""),
+    ];
+    let server = Server::new(
+        ServerConfig::with_workers(2)
+            .max_live(8)
+            .shards(2)
+            .trace(TraceMode::Journal),
+    );
+    let handles: Vec<_> = fleet
+        .into_iter()
+        .map(|(id, policy, tenant)| {
+            let q = conviva_query(id).unwrap();
+            let pq = plan_sql(q.sql, &cat, &registry).unwrap();
+            let d =
+                IolapDriver::from_plan(&pq, &cat, q.stream_table, golden_config(6, 16)).unwrap();
+            server
+                .submit(d, SessionSpec::named(tenant).policy(policy))
+                .unwrap()
+        })
+        .collect();
+    for h in &handles {
+        assert!(h.join(Duration::from_secs(30)), "session did not finish");
+    }
+    for h in &handles {
+        h.drain(Duration::from_secs(30));
+    }
+    let exposition = server.exposition(true);
+    server.shutdown();
+    check_golden("observe-exposition.golden", &exposition);
+}
+
 #[test]
 fn hda_reports_are_bytewise_deterministic() {
     // C2's correlated subquery gives HDA's inner view many group entries —

@@ -2,11 +2,8 @@
 //! representative nested queries (TPC-H Q17/Q20, Conviva C8), inject every
 //! fault kind at varying batch points and checkpoint intervals across
 //! several seeds, and assert the driver still lands on the *exact* offline
-//! answer at the final mini-batch (Theorem 1 anchor at m = 1).
-//!
-//! This is the integration-level counterpart of `experiments faultstorm`:
-//! smaller catalogs, but a wider seed sweep, and it runs in the default
-//! debug-profile `cargo test` gate.
+//! answer at the final mini-batch (Theorem 1 anchor at m = 1). Q17 and C8
+//! also run with fold dispatch offloaded to a two-shard pool.
 
 use iolap_core::{FaultKind, FaultPlan, IolapConfig, IolapDriver};
 use iolap_engine::{execute, plan_sql, FunctionRegistry};

@@ -1,8 +1,7 @@
 //! Flight-recorder integration tests: the bounded in-memory trace ring must
 //! retain — across a §5.1 fault/recovery episode — the injected fault, the
 //! cascade it triggers, and every replay pass, so a post-mortem dump tells
-//! the whole causal story. This is the integration-level counterpart of the
-//! `experiments faultstorm --smoke` dump.
+//! the whole causal story.
 
 use iolap_core::{EventKind, FaultKind, FaultPlan, IolapConfig, IolapDriver, TraceMode};
 use iolap_engine::{execute, plan_sql, FunctionRegistry};
