@@ -31,10 +31,6 @@ pub struct IolapConfig {
     /// Checkpoint operator state every `n` batches for failure recovery
     /// (§5.1). `1` = every batch.
     pub checkpoint_interval: usize,
-    /// Worker threads for parallel sketch folding inside aggregates — the
-    /// single-process analogue of the paper's partition parallelism
-    /// ("demonstrated … on over 100 machines"). `1` disables threading.
-    pub parallelism: usize,
     /// Cap on cascading recovery passes within one mini-batch (a failure
     /// detected during a recovery replay re-enters recovery). Exceeding it
     /// degrades gracefully: the offending attributes are permanently barred
@@ -69,7 +65,6 @@ impl Default for IolapConfig {
             opt_tuple_partition: true,
             opt_lazy_lineage: true,
             checkpoint_interval: 1,
-            parallelism: 1,
             max_recovery_depth: 4,
             max_checkpoints: 4,
             fault_plan: None,
@@ -110,12 +105,6 @@ impl IolapConfig {
     pub fn optimizations(mut self, opt1: bool, opt2: bool) -> Self {
         self.opt_tuple_partition = opt1;
         self.opt_lazy_lineage = opt2;
-        self
-    }
-
-    /// Builder-style setter for worker threads.
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
         self
     }
 

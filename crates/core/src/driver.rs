@@ -870,7 +870,6 @@ impl IolapDriver {
             catalog: &self.catalog,
             seed: self.config.seed,
             weight_memo: &mut self.weight_memo,
-            parallelism: self.config.parallelism,
             shards: self.shards.as_deref(),
             stats: BatchStats::default(),
             outcomes: Vec::new(),
@@ -906,8 +905,8 @@ impl IolapDriver {
                 self.shard_bytes_shipped().saturating_sub(shipped_before),
             );
         }
-        // Derefs happen through `&self` (lazy lineage resolution, possibly
-        // on fold workers), so the count lives in the registry; diff it
+        // Derefs happen through `&self` (lazy lineage resolution during
+        // expression evaluation), so the count lives in the registry; diff it
         // here for the per-batch view. Restores never interleave within
         // one process_delta, so the snapshot diff is well-defined.
         let derefs = self.registry.deref_count();

@@ -6,7 +6,7 @@
 //! *testable under adversity*: a [`FaultPlan`] in
 //! [`IolapConfig`](crate::config::IolapConfig) schedules concrete faults —
 //! forced range failures, dropped or corrupted checkpoints, panics inside
-//! fold workers or registry derefs, perturbed variation ranges, and
+//! aggregate folds or registry derefs, perturbed variation ranges, and
 //! durable-log damage (torn writes, truncated segments, stale manifest
 //! digests) — at chosen mini-batches, and the
 //! driver/registry/operators/durable layer consult the plan's
@@ -19,8 +19,8 @@
 //!   `(seed, agg, column, batch)`. Two runs of the same plan inject
 //!   identically.
 //! * **One-shot.** Point faults (forced failure, checkpoint drop/corrupt,
-//!   panics) fire at most once, claimed via atomic compare-exchange so a
-//!   fault armed inside parallel fold workers fires on exactly one worker.
+//!   panics) fire at most once, claimed via atomic compare-exchange, so a
+//!   hook reached from several threads still fires on exactly one.
 //!   [`FaultKind::PerturbRanges`] instead stays active for its whole batch
 //!   (every range read and publication during that batch is perturbed).
 //! * **Unreachable unless armed.** The injector only exists when
@@ -59,8 +59,9 @@ pub enum FaultKind {
     /// digest is damaged, so a later restore detects the mismatch and falls
     /// back to an older checkpoint (models bit rot / a torn write).
     CorruptCheckpoint,
-    /// Panic inside one parallel fold worker at the armed batch (models a
-    /// poisoned UDAF or a crashed partition).
+    /// Panic as an aggregate starts a fold at the armed batch, whether the
+    /// fold runs locally or on a shard pool (models a poisoned UDAF or a
+    /// crashed partition).
     WorkerPanic,
     /// Panic inside a registry lineage dereference at the armed batch
     /// (models a corrupted broadcast table lookup).
@@ -92,7 +93,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable label used in reports and the `--json` `"faults"` record.
+    /// Stable label used in reports, `fault.injected` trace events and
+    /// [`FaultInjector::fired`].
     pub fn label(&self) -> &'static str {
         match self {
             FaultKind::FailRange { .. } => "fail_range",
@@ -146,7 +148,7 @@ impl FaultPlan {
 
 /// Runtime state of a [`FaultPlan`]: tracks which faults have fired and the
 /// batch currently being processed. Shared (`Arc`) between the driver, the
-/// registry (surviving checkpoint clones), and fold workers; all methods
+/// registry (surviving checkpoint clones), and the operators; all methods
 /// take `&self`.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -251,10 +253,10 @@ impl FaultInjector {
         self.point_fault(batch, |k| matches!(k, FaultKind::CorruptCheckpoint))
     }
 
-    /// Fold-worker hook: panics (on exactly one worker) when a
-    /// [`FaultKind::WorkerPanic`] is armed for `batch`. The panic itself
-    /// lives here so the operator hot paths stay free of panic sites
-    /// (srclint L001); the scoped-thread join converts it to an
+    /// Aggregate-fold hook: panics once when a [`FaultKind::WorkerPanic`]
+    /// is armed for `batch`. The panic itself lives here so the operator
+    /// hot paths stay free of panic sites (srclint L001); the driver's
+    /// unwind barrier around the operator tree converts it to an
     /// `EngineError`.
     pub fn inject_worker_panic(&self, batch: usize) {
         if self.point_fault(batch, |k| matches!(k, FaultKind::WorkerPanic)) {
@@ -435,7 +437,7 @@ fn span_scale(lo: f64, hi: f64) -> f64 {
 }
 
 /// Render a panic payload for error messages (shared by the driver's
-/// catch-unwind barrier).
+/// unwind barriers, the shard pools and the server's worker loop).
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()

@@ -48,8 +48,7 @@ pub use registry::AggRegistry;
 pub use rewriter::{rewrite, OnlineQuery, RewriteError};
 pub use shard::{
     fold_fragment_partition, fold_partition, AccState, FoldFragment, FoldPartial, FragKind,
-    FragSrc, LocalShardExec, PartialCall, PartialGroup, ShardExec, ShardTraceCtx, ShardWorkerStats,
-    PARTITION_ROWS,
+    FragSrc, PartialCall, PartialGroup, ShardExec, ShardTraceCtx, ShardWorkerStats, PARTITION_ROWS,
 };
 pub use sink::{Presentation, QueryResult, Sink};
 pub use trace::{

@@ -91,7 +91,7 @@ impl Histogram {
 
     /// Deterministic quantile estimate (`q` in `[0, 1]`). `None` when the
     /// histogram is empty — callers that would otherwise print a p95/p99
-    /// (the `--json` emitter, the `Display` impl) must render the absence
+    /// (the `Display` impl, the server's exposition) must render the absence
     /// explicitly instead of a fabricated number. A single-sample histogram
     /// returns that exact sample rather than its bucket midpoint, and every
     /// estimate is clamped into the observed `[min, max]` range, so a

@@ -66,8 +66,6 @@ pub struct BatchCtx<'a> {
     /// The driver's memo of weights already drawn for streamed rows; every
     /// streamed scan consults it before drawing.
     pub weight_memo: &'a mut WeightMemo,
-    /// Worker threads for parallel sketch folding (1 = sequential).
-    pub parallelism: usize,
     /// Shard pool for scale-out fold dispatch; `None` (the production
     /// default) folds every partition in-process. The partition-stable
     /// grid ([`crate::shard`]) keeps results bit-identical either way.

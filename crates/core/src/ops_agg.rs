@@ -178,9 +178,9 @@ impl TrialState {
     }
 }
 
-/// Instrumentation from one `fold_rows` call. Folds run behind `&self`
-/// (workers and shard pools cannot write `&mut Metrics`), so the numbers
-/// ride back to `process`, which records them around the call.
+/// Instrumentation from one `fold_rows` call. Folds run behind `&self` and
+/// a shared context (shard pools cannot write `&mut Metrics`), so the
+/// numbers ride back to `process`, which records them around the call.
 #[derive(Clone, Copy, Debug, Default)]
 struct FoldStats {
     /// Wall time of the shard-pool dispatch (0 when not offloaded).
@@ -225,7 +225,7 @@ fn merge_into(
 }
 
 /// Merge per-partition groups into one map, in partition order. Every
-/// topology — this thread, worker threads, remote shards — funnels through
+/// topology — this thread, shard threads, remote shards — funnels through
 /// this loop, so the float merge tree depends only on the grid.
 fn merge_partitions(parts: impl IntoIterator<Item = PartGroups>) -> Result<SketchMap, EngineError> {
     let mut merged = SketchMap::new();
@@ -481,16 +481,20 @@ impl AggregateOp {
     /// (`shard::PARTITION_ROWS`-row slices): each partition folds
     /// sequentially, partial maps merge in partition order. Because both
     /// the grid and the merge order derive only from the row count, the
-    /// result is bit-identical whether the partitions run on this thread,
-    /// across `ctx.parallelism` workers, or on remote shards via
-    /// `ctx.shards` ("demonstrated … on over 100 machines" — §8's
-    /// scale-up/scale-out equivalence).
+    /// result is bit-identical whether the partitions run on this thread
+    /// or on a shard pool via `ctx.shards` ("demonstrated … on over 100
+    /// machines" — §8's scale-up/scale-out equivalence).
     fn fold_rows(
         &self,
         rows: &[ORow],
         certain: bool,
         ctx: &BatchCtx<'_>,
     ) -> Result<(SketchMap, FoldStats), EngineError> {
+        // An armed WorkerPanic fault fires here, on either path; the
+        // driver's unwind barrier around `process` turns it into an error.
+        if let Some(f) = ctx.faults {
+            f.inject_worker_panic(ctx.batch_index);
+        }
         let mut stats = FoldStats::default();
         if rows.is_empty() {
             return Ok((HashMap::new(), stats));
@@ -500,21 +504,6 @@ impl AggregateOp {
         // pool cannot take this batch — lineage cells, unencodable rows)
         // falls through to the local fold of the *same* grid.
         if let (Some(exec), Some(frag)) = (ctx.shards, &self.fast) {
-            // An armed WorkerPanic fault fires here exactly once per
-            // batch (the shard pool replaces the local worker threads);
-            // catch it so it surfaces as the same `EngineError` the
-            // local path's `join` conversion produces.
-            if let Some(f) = ctx.faults {
-                let inject = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    f.inject_worker_panic(ctx.batch_index)
-                }));
-                if let Err(payload) = inject {
-                    return Err(EngineError::Plan(format!(
-                        "aggregate fold worker panicked: {}",
-                        crate::faults::panic_message(payload)
-                    )));
-                }
-            }
             let dispatch = crate::metrics::Span::start();
             // Forward the operator span as the fold's trace parent so
             // worker-side span summaries stitch under the right node.
@@ -538,60 +527,10 @@ impl AggregateOp {
                 return Ok((map, stats));
             }
         }
-        // Local path: same grid, optionally spread over worker threads.
-        // Workers own contiguous partition *blocks* but still fold and
-        // ship one group list per partition, so the coordinator-side merge
-        // tree is the same with 1 worker or 8.
-        let bounds: Vec<(usize, usize)> = shard::partition_bounds(rows.len()).collect();
-        let registry: &crate::registry::AggRegistry = ctx.registry;
-        let trials = ctx.trials;
-        let fold_parts = |parts: &[(usize, usize)]| -> Result<Vec<PartGroups>, EngineError> {
-            parts
-                .iter()
-                .map(|&(s, e)| self.fold_chunk(&rows[s..e], certain, registry, trials))
-                .collect()
-        };
-        let workers = ctx.parallelism.max(1);
-        let partials: Vec<Result<Vec<PartGroups>, EngineError>> =
-            if workers == 1 || rows.len() < 4 * workers {
-                vec![fold_parts(&bounds)]
-            } else {
-                let per = bounds.len().div_ceil(workers);
-                let faults = ctx.faults;
-                let batch_index = ctx.batch_index;
-                let fold_parts = &fold_parts;
-                // A panicking worker (e.g. a poisoned UDAF) must not abort the
-                // process: `scope` joins every handle, and a panic surfaces as
-                // an `Err` from `join`, which we convert into an `EngineError`
-                // so the driver can report a failed batch and keep going.
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = bounds
-                        .chunks(per)
-                        .map(|parts| {
-                            scope.spawn(move || {
-                                if let Some(f) = faults {
-                                    f.inject_worker_panic(batch_index);
-                                }
-                                fold_parts(parts)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(result) => result,
-                            Err(payload) => Err(EngineError::Plan(format!(
-                                "aggregate fold worker panicked: {}",
-                                crate::faults::panic_message(payload)
-                            ))),
-                        })
-                        .collect()
-                })
-            };
-        let mut parts = Vec::with_capacity(bounds.len());
-        for worker_parts in partials {
-            parts.extend(worker_parts?);
-        }
+        // Local path: the same grid, one partition after another.
+        let parts = shard::partition_bounds(rows.len())
+            .map(|(s, e)| self.fold_chunk(&rows[s..e], certain, ctx.registry, ctx.trials))
+            .collect::<Result<Vec<PartGroups>, EngineError>>()?;
         Ok((merge_partitions(parts)?, stats))
     }
 
@@ -613,9 +552,9 @@ impl AggregateOp {
         let mut shard_stats = FoldStats::default();
         let mut touched: HashSet<Arc<[Value]>>;
         if sketchable {
-            // Fold fresh certain rows into the persistent sketch.
-            // (Workers cannot write `&mut Metrics`, so folds are timed and
-            // counted here, around the call.)
+            // Fold fresh certain rows into the persistent sketch. (`fold_rows`
+            // sees the context shared, so folds are timed and counted here,
+            // around the call.)
             let fold_span = crate::metrics::Span::start();
             let (delta, fstats) = self.fold_rows(&input.delta_certain, true, ctx)?;
             fold_span.stop(&mut ctx.metrics, "agg.fold_ns");

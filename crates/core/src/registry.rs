@@ -110,7 +110,7 @@ pub struct AggRegistry {
     published_bytes: usize,
     /// Lineage dereferences served (metric `registry.derefs`). Atomic
     /// because resolution runs through `&self` during expression
-    /// evaluation, including inside parallel fold workers.
+    /// evaluation.
     derefs: AtomicU64,
     /// Fault-injection hooks, armed only when the driver's config carries a
     /// `FaultPlan`. Shared (not snapshotted) across checkpoint clones so

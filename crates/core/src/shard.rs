@@ -22,7 +22,7 @@
 //! A [`FoldFragment`] is the compiled fast plan of a vectorizable
 //! aggregate (builtin COUNT/SUM/AVG over bare columns or literals, no
 //! uncertain arguments). [`fold_partition`] is the only columnar fold in
-//! the tree: the aggregate operator runs it on its own thread, worker
+//! the tree: the aggregate operator runs it on its own thread, shard
 //! threads and shard workers run it on theirs, and it touches each
 //! (group, call) slot in row order — so a shard's partial *is* the slice
 //! of local state the coordinator would have built itself.
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 /// Rows per fold partition. Fixed: the grid depends only on the row
 /// count, so the merge tree — and therefore every float in the published
-/// report — is independent of both `parallelism` and the shard count.
+/// report — is independent of the shard pool and its size.
 pub const PARTITION_ROWS: usize = 1024;
 
 /// Half-open `(start, end)` row ranges of the partition grid over `n`
@@ -243,10 +243,10 @@ pub struct ShardWorkerStats {
     pub shard: usize,
     /// Fold requests the worker served.
     pub folds: u64,
-    /// Ack/ping round-trips the worker answered.
+    /// Partials the coordinator received from the worker.
     pub acked: u64,
-    /// Response bytes the worker shipped back (0 for in-process pools
-    /// that only estimate via [`FoldPartial::approx_bytes`]).
+    /// Response bytes the worker shipped back: measured frame bytes over
+    /// a wire, [`FoldPartial::approx_bytes`] in process.
     pub response_bytes: u64,
 }
 
@@ -568,39 +568,6 @@ pub fn fold_partition(
     Some(keys.into_iter().zip(groups).map(close).collect())
 }
 
-/// In-process reference pool: folds every partition on the calling
-/// thread. Exists so determinism tests can compare shard topologies
-/// without the server crate; real pools live in `iolap-server::shard`.
-#[derive(Debug, Default)]
-pub struct LocalShardExec {
-    shipped: std::sync::atomic::AtomicU64,
-}
-
-impl ShardExec for LocalShardExec {
-    fn shards(&self) -> usize {
-        1
-    }
-
-    fn fold(
-        &self,
-        frag: &FoldFragment,
-        rows: &[ORow],
-        certain: bool,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        let partials = fold_fragment_partition(frag, rows, certain);
-        if let Some(ps) = &partials {
-            let bytes: u64 = ps.iter().map(|p| p.approx_bytes() as u64).sum();
-            self.shipped
-                .fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-        }
-        Ok(partials)
-    }
-
-    fn bytes_shipped(&self) -> u64 {
-        self.shipped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -857,15 +824,5 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(counts, vec![1024.0, 1024.0, 2.0]);
         assert!(partials[0].approx_bytes() > 0);
-    }
-
-    #[test]
-    fn local_exec_counts_shipped_bytes() {
-        let rows = vec![row(vec![Value::Int(1), Value::Float(2.0)], 1.0, None)];
-        let exec = LocalShardExec::default();
-        let out = exec.fold(&frag(), &rows, true).unwrap().unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(exec.bytes_shipped() > 0);
-        assert_eq!(exec.shards(), 1);
     }
 }

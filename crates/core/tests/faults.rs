@@ -1,7 +1,7 @@
 //! End-to-end deterministic fault-injection tests (§5.1 hardening).
 //!
 //! A `FaultPlan` in the config arms seed-driven faults — forced range
-//! failures, dropped/corrupted checkpoints, panicking fold workers and
+//! failures, dropped/corrupted checkpoints, panicking folds and
 //! derefs, perturbed ranges — and the driver must come through every one
 //! of them with answers still matching the offline oracle on the scaled
 //! prefix (Theorem 1 does not get a fault-injection exemption).
@@ -306,9 +306,7 @@ fn corrupted_checkpoints_are_detected_and_skipped() {
 #[test]
 fn worker_panic_is_recovered_via_error_replay() {
     let cat = stationary_catalog(300, 16);
-    let cfg = config(10, 2.0, 1)
-        .parallelism(2)
-        .fault_plan(FaultPlan::new(7).with(4, FaultKind::WorkerPanic));
+    let cfg = config(10, 2.0, 1).fault_plan(FaultPlan::new(7).with(4, FaultKind::WorkerPanic));
     let (driver, recoveries) = run_exact(&cat, cfg);
     assert_eq!(fires_for(&driver, "worker_panic"), 1);
     assert!(recoveries >= 1, "the panicked batch must report recovery");

@@ -1,7 +1,8 @@
-//! Regression test: a panicking UDAF inside the *parallel* sketch fold must
-//! surface as a driver error, not abort the process. Before the fix,
-//! `fold_rows` joined its workers with `.unwrap()` / `.expect(...)`, so a
-//! poisoned accumulator took the whole process down.
+//! Regression test: a panicking UDAF inside the sketch fold must surface as
+//! a driver error, not abort the process. The fold once joined worker
+//! threads with `.unwrap()` / `.expect(...)`, so a poisoned accumulator
+//! took the whole process down; today the driver's unwind barrier around
+//! the operator tree is what contains it.
 
 use iolap_core::{DriverError, IolapConfig, IolapDriver};
 use iolap_engine::aggregate::{Accumulator, Udaf};
@@ -56,20 +57,16 @@ fn catalog(n: usize) -> Catalog {
 
 #[test]
 fn panicking_udaf_in_parallel_fold_is_an_error_not_an_abort() {
-    // Workers print panic traces by default; silence them for this binary —
-    // the panics are the point of the test.
+    // Panics print traces by default; silence them for this binary — the
+    // panics are the point of the test.
     std::panic::set_hook(Box::new(|_| {}));
 
     let cat = catalog(64);
     let mut registry = FunctionRegistry::with_builtins();
     registry.register_udaf(Arc::new(Poison));
 
-    // One 64-row batch with 4 workers: 64 >= 4 * workers, so the fold takes
-    // the parallel path and every worker hits the poisoned accumulator.
-    let config = IolapConfig::with_batches(1)
-        .trials(8)
-        .seed(1)
-        .parallelism(4);
+    // One 64-row batch: the first row folded hits the poisoned accumulator.
+    let config = IolapConfig::with_batches(1).trials(8).seed(1);
     let mut driver = IolapDriver::from_sql("SELECT POISON(x) FROM t", &cat, &registry, "t", config)
         .expect("planning a POISON aggregate must succeed");
 
@@ -82,7 +79,7 @@ fn panicking_udaf_in_parallel_fold_is_an_error_not_an_abort() {
             let msg = e.to_string();
             assert!(
                 msg.contains("panicked") && msg.contains("poisoned UDAF"),
-                "error should carry the worker panic payload, got: {msg}"
+                "error should carry the UDAF's panic payload, got: {msg}"
             );
         }
         other => panic!("expected DriverError::Engine, got: {other}"),

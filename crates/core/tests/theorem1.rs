@@ -366,36 +366,3 @@ fn stratified_partitioning_stays_exact_and_covers_groups() {
     let first = driver.step().unwrap().unwrap();
     assert_eq!(first.result.relation.len(), 4);
 }
-
-#[test]
-fn parallel_folding_matches_sequential() {
-    // The crossbeam fold splits rows across workers and merges partial
-    // sketches; results must match the sequential fold (within float
-    // summation-order tolerance) and stay Theorem-1 exact.
-    let cat = catalog(400, 19);
-    let sql = "SELECT city, SUM(play_time), AVG(buffer_time), COUNT(*) \
-               FROM sessions GROUP BY city";
-    assert_theorem1(sql, &cat, default_config(6).parallelism(4));
-
-    let registry = FunctionRegistry::with_builtins();
-    let run = |workers: usize| {
-        let mut d = IolapDriver::from_sql(
-            sql,
-            &cat,
-            &registry,
-            "sessions",
-            default_config(6).parallelism(workers),
-        )
-        .unwrap();
-        d.run_to_completion().unwrap()
-    };
-    let seq = run(1);
-    let par = run(4);
-    for (a, b) in seq.iter().zip(par.iter()) {
-        assert!(
-            a.result.relation.approx_eq(&b.result.relation, 1e-9),
-            "batch {} differs between 1 and 4 workers",
-            a.batch
-        );
-    }
-}

@@ -41,8 +41,8 @@ pub trait AggregateFunction: Send + Sync {
     fn extensive(&self) -> bool;
 }
 
-/// A running aggregate state. `Sync` so shared operator state can be read
-/// from parallel fold workers.
+/// A running aggregate state. `Send + Sync` so operator state can move
+/// between the server's worker threads and be read from shard threads.
 pub trait Accumulator: Send + Sync {
     /// Fold in one value with the given weight (row multiplicity ×
     /// bootstrap multiplier).

@@ -47,7 +47,7 @@ impl StopPolicy {
         StopPolicy::Batches(usize::MAX)
     }
 
-    /// Short machine-readable label for reports and the `--json` record.
+    /// Short machine-readable label; also the policy's `Display` form.
     pub fn label(&self) -> String {
         match self {
             StopPolicy::Batches(n) if *n == usize::MAX => "complete".to_string(),

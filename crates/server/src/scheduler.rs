@@ -601,13 +601,15 @@ fn policy_met(policy: &StopPolicy, report: &BatchReport, slot: &Slot) -> bool {
     }
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panic".to_string()
+/// Attach the configured shard pool to a driver being admitted. Every
+/// admission path (`submit`, the wire `submit`, `recover`) calls this; the
+/// pool changes where fold partitions execute, never the merge tree, so
+/// the report stream stays byte-identical.
+fn attach_shards(cfg: &ServerConfig, driver: &mut IolapDriver) {
+    if cfg.shard_workers > 0 {
+        driver.set_shard_exec(Arc::new(crate::shard::ThreadShardPool::new(
+            cfg.shard_workers,
+        )));
     }
 }
 
@@ -751,7 +753,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 continue;
             };
             match step {
-                Err(p) => Outcome::Finish(SessionEnd::Failed(panic_message(p))),
+                Err(p) => Outcome::Finish(SessionEnd::Failed(iolap_core::faults::panic_message(p))),
                 // A drained stream with appends queued behind it is not
                 // finished: requeue so the next pick applies them and the
                 // driver grows new mini-batches.
@@ -901,11 +903,12 @@ impl Server {
     /// submit factory and replays the session's event log.
     pub fn submit_with_origin(
         &self,
-        driver: IolapDriver,
+        mut driver: IolapDriver,
         spec: SessionSpec,
         origin: Option<&str>,
     ) -> Result<SessionHandle, AdmitError> {
         let cfg = &self.shared.cfg;
+        attach_shards(cfg, &mut driver);
         let mut st = lock(&self.shared);
         if st.shutdown {
             return Err(AdmitError::ShuttingDown);
@@ -1090,10 +1093,7 @@ impl Server {
                     continue;
                 }
             };
-            let shard_workers = self.shared.cfg.shard_workers;
-            if shard_workers > 0 {
-                driver.set_shard_exec(Arc::new(crate::shard::ThreadShardPool::new(shard_workers)));
-            }
+            attach_shards(&self.shared.cfg, &mut driver);
             let records = match crate::durable::read_session_log(durable.dir(), id) {
                 Ok(records) => records,
                 Err(e) => {

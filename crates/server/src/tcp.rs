@@ -248,35 +248,22 @@ pub fn handle_request(
     match op {
         "submit" => match factory(&req) {
             Err(msg) => err_response("bad_request", &msg),
-            Ok((mut driver, spec)) => {
-                // Attach the configured shard pool before admission: the
-                // pool changes where fold partitions execute, never the
-                // merge tree, so the report stream stays byte-identical.
-                let shard_workers = server.config().shard_workers;
-                if shard_workers > 0 {
-                    driver.set_shard_exec(std::sync::Arc::new(crate::shard::ThreadShardPool::new(
-                        shard_workers,
-                    )));
+            Ok((driver, spec)) => match server.submit_with_origin(driver, spec, Some(line)) {
+                Ok(handle) => {
+                    let id = handle.id();
+                    sessions.insert(id, handle);
+                    JVal::obj(vec![
+                        ("ok", JVal::Bool(true)),
+                        ("session", JVal::Num(id as f64)),
+                    ])
+                    .render()
                 }
-                match server.submit_with_origin(driver, spec, Some(line)) {
-                    Ok(handle) => {
-                        let id = handle.id();
-                        sessions.insert(id, handle);
-                        JVal::obj(vec![
-                            ("ok", JVal::Bool(true)),
-                            ("session", JVal::Num(id as f64)),
-                        ])
-                        .render()
-                    }
-                    Err(AdmitError::QueueFull { live, queued }) => err_response(
-                        "queue_full",
-                        &format!("{live} live, {queued} queued — admission rejected"),
-                    ),
-                    Err(e @ AdmitError::ShuttingDown) => {
-                        err_response("shutting_down", &e.to_string())
-                    }
-                }
-            }
+                Err(AdmitError::QueueFull { live, queued }) => err_response(
+                    "queue_full",
+                    &format!("{live} live, {queued} queued — admission rejected"),
+                ),
+                Err(e @ AdmitError::ShuttingDown) => err_response("shutting_down", &e.to_string()),
+            },
         },
         "append" => {
             let Some(table) = req.get("table").and_then(JVal::as_str) else {

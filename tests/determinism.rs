@@ -204,7 +204,7 @@ fn shard_count_never_changes_published_reports() {
 
 /// Cross-shard trace identity: the canonical trace export — `shard.*`
 /// frames filtered, sequence renumbered — must be byte-identical no
-/// matter how many fold workers the driver dispatches to. Shard topology
+/// matter how many shards the driver dispatches folds to. Shard topology
 /// may add its own frames but must never move an application span.
 #[test]
 fn canonical_trace_exports_are_byte_identical_across_shard_counts() {
@@ -400,8 +400,17 @@ fn fleet_exposition_matches_the_golden() {
         h.drain(Duration::from_secs(30));
     }
     let exposition = server.exposition(true);
+    let shards = server.telemetry().shards().clone();
     server.shutdown();
     check_golden("observe-exposition.golden", &exposition);
+    // The fleet really ran on a two-shard pool; the canonical exposition
+    // cannot say so. (Every fold here is one grid partition, so shard 0
+    // serves them all.)
+    assert_eq!(shards.len(), 2, "{shards:?}");
+    assert!(
+        shards.values().map(|w| w.folds).sum::<u64>() > 0,
+        "{shards:?}"
+    );
 }
 
 #[test]

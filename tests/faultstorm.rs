@@ -29,7 +29,6 @@ fn config(seed: u64, interval: usize, plan: FaultPlan) -> IolapConfig {
     let mut c = IolapConfig::with_batches(BATCHES)
         .trials(16)
         .seed(seed)
-        .parallelism(2)
         .fault_plan(plan);
     c.partition_mode = PartitionMode::RowShuffle;
     c.checkpoint_interval = interval;

@@ -14,7 +14,6 @@ fn config(seed: u64, plan: FaultPlan) -> IolapConfig {
     let mut c = IolapConfig::with_batches(BATCHES)
         .trials(16)
         .seed(seed)
-        .parallelism(2)
         .fault_plan(plan)
         .flight_recorder();
     c.partition_mode = PartitionMode::RowShuffle;
@@ -137,7 +136,6 @@ fn journal_records_panic_recovery_episode() {
     let mut cfg = IolapConfig::with_batches(BATCHES)
         .trials(16)
         .seed(21)
-        .parallelism(2)
         .fault_plan(plan)
         .trace_mode(TraceMode::Journal);
     cfg.partition_mode = PartitionMode::RowShuffle;
