@@ -1,5 +1,6 @@
 //! Structured diagnostics shared by the plan verifier and the source lints.
 
+use iolap_core::json::JVal;
 use std::fmt;
 
 /// Every rule the analyzer can report. `V…` rules come from the static plan
@@ -250,22 +251,16 @@ pub fn sort_diagnostics(diags: &mut Vec<Diagnostic>) {
     });
 }
 
-pub use iolap_core::trace::json_escape;
-
 /// One diagnostic as a machine-readable JSON object (stable key order).
 pub fn diagnostic_json(d: &Diagnostic) -> String {
-    let column = match d.column {
-        Some(c) => c.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"rule\":\"{}\",\"title\":\"{}\",\"path\":\"{}\",\"column\":{},\"message\":\"{}\"}}",
-        d.rule.id(),
-        d.rule.title(),
-        json_escape(&d.path),
-        column,
-        json_escape(&d.message)
-    )
+    JVal::obj(vec![
+        ("rule", d.rule.id().into()),
+        ("title", d.rule.title().into()),
+        ("path", d.path.as_str().into()),
+        ("column", d.column.into()),
+        ("message", d.message.as_str().into()),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -98,6 +98,7 @@ use crate::callgraph::{self, CallGraph};
 use crate::diag::Rule;
 use crate::lexer::{self, TokKind, Token};
 use crate::lockorder;
+use iolap_core::json::JVal;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
@@ -707,14 +708,14 @@ fn l009_findings(graph: &CallGraph) -> Vec<LintFinding> {
 /// One lint finding as a machine-readable JSON object (stable key order,
 /// mirroring [`crate::diag::diagnostic_json`] for the verifier side).
 pub fn finding_json(f: &LintFinding) -> String {
-    format!(
-        "{{\"rule\":\"{}\",\"title\":\"{}\",\"file\":\"{}\",\"line\":{},\"text\":\"{}\"}}",
-        f.rule.id(),
-        f.rule.title(),
-        crate::diag::json_escape(&f.file),
-        f.line,
-        crate::diag::json_escape(&f.text)
-    )
+    JVal::obj(vec![
+        ("rule", f.rule.id().into()),
+        ("title", f.rule.title().into()),
+        ("file", f.file.as_str().into()),
+        ("line", f.line.into()),
+        ("text", f.text.as_str().into()),
+    ])
+    .render()
 }
 
 /// Deterministic finding order: (file, line, rule), exact repeats deduped.

@@ -49,8 +49,8 @@
 //! arguments) is unreachable through `AggregateOp::new` by construction and
 //! is covered by a dedicated mutation test instead.
 
-use crate::diag::json_escape;
 use crate::verify::verify;
+use iolap_core::json::JVal;
 use iolap_core::ops::ProjMode;
 use iolap_core::{rewrite, OnlineOp, OnlineQuery};
 use iolap_engine::{AggCall, AggKind, BuiltinAgg, CmpOp, Expr, Plan, PlannedQuery};
@@ -555,11 +555,14 @@ pub struct CellRecord {
 impl CellRecord {
     /// Machine-readable JSON object for this record.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"term\":\"{}\",\"detail\":\"{}\"}}",
-            json_escape(&self.term),
-            json_escape(&self.detail)
-        )
+        self.to_jval().render()
+    }
+
+    fn to_jval(&self) -> JVal {
+        JVal::obj(vec![
+            ("term", self.term.as_str().into()),
+            ("detail", self.detail.as_str().into()),
+        ])
     }
 }
 
@@ -597,25 +600,20 @@ impl ModelCheckReport {
 
     /// The whole report as one machine-readable JSON object.
     pub fn to_json(&self) -> String {
-        let list = |v: &[CellRecord]| {
-            let items: Vec<String> = v.iter().map(CellRecord::to_json).collect();
-            format!("[{}]", items.join(","))
-        };
-        format!(
-            "{{\"depth\":{},\"cells\":{},\"accepted\":{},\"agreed_rejected\":{},\
-             \"probes\":{},\"violations\":{},\"unsound_accepted\":{},\
-             \"sound_rejected\":{},\"accepted_flagged\":{},\"missed_mutations\":{}}}",
-            self.depth,
-            self.cells,
-            self.accepted,
-            self.agreed_rejected,
-            self.probes,
-            self.violations(),
-            list(&self.unsound_accepted),
-            list(&self.sound_rejected),
-            list(&self.accepted_flagged),
-            list(&self.missed_mutations),
-        )
+        let list = |v: &[CellRecord]| JVal::Arr(v.iter().map(CellRecord::to_jval).collect());
+        JVal::obj(vec![
+            ("depth", self.depth.into()),
+            ("cells", self.cells.into()),
+            ("accepted", self.accepted.into()),
+            ("agreed_rejected", self.agreed_rejected.into()),
+            ("probes", self.probes.into()),
+            ("violations", self.violations().into()),
+            ("unsound_accepted", list(&self.unsound_accepted)),
+            ("sound_rejected", list(&self.sound_rejected)),
+            ("accepted_flagged", list(&self.accepted_flagged)),
+            ("missed_mutations", list(&self.missed_mutations)),
+        ])
+        .render()
     }
 }
 

@@ -23,6 +23,7 @@ pub mod classify;
 pub mod config;
 pub mod driver;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod ops_agg;

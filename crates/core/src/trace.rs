@@ -27,6 +27,7 @@
 //! jq-friendly) and Chrome `trace_event` JSON (open `chrome://tracing` or
 //! Perfetto and load the file; batches map to tracks, spans nest).
 
+use crate::json::JVal;
 use crate::metrics::Span;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -405,27 +406,6 @@ pub fn canonical_events(events: &[TraceEvent]) -> Vec<TraceEvent> {
     out
 }
 
-/// Escape a string for a JSON string literal (quotes not included). The
-/// one implementation in the tree: the trace exporters, the analyzer's
-/// diagnostics, the server's wire codec and the bench record all call it.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn event_ts(ev: &TraceEvent, normalize: bool) -> u64 {
     // Normalized exports replace wall-clock with the sequence number: the
     // only nondeterministic field disappears and the output is
@@ -437,71 +417,71 @@ fn event_ts(ev: &TraceEvent, normalize: bool) -> u64 {
     }
 }
 
+fn span_json(id: SpanId) -> JVal {
+    JVal::Int(i64::from(id.0))
+}
+
 /// Export events as JSONL: one JSON object per line, stable key order.
 /// With `normalize`, timestamps are replaced by sequence numbers.
 pub fn export_jsonl(events: &[TraceEvent], normalize: bool) -> String {
     let mut out = String::new();
     for ev in events {
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"ts_ns\":{},\"ph\":\"{}\",\"span\":{},\"parent\":{},\"batch\":",
-            ev.seq,
-            event_ts(ev, normalize),
-            ev.kind.code(),
-            ev.span.0,
-            ev.parent.0,
-        );
-        if ev.batch == NO_BATCH {
-            out.push_str("null");
-        } else {
-            let _ = write!(out, "{}", ev.batch);
-        }
-        out.push_str(",\"name\":\"");
-        out.push_str(&json_escape(ev.name));
-        let _ = write!(out, "\",\"n\":{},\"detail\":\"", ev.n);
-        out.push_str(&json_escape(&ev.detail));
-        out.push_str("\"}\n");
+        let line = JVal::obj(vec![
+            ("seq", ev.seq.into()),
+            ("ts_ns", event_ts(ev, normalize).into()),
+            ("ph", ev.kind.code().into()),
+            ("span", span_json(ev.span)),
+            ("parent", span_json(ev.parent)),
+            ("batch", (ev.batch != NO_BATCH).then_some(ev.batch).into()),
+            ("name", ev.name.into()),
+            ("n", ev.n.into()),
+            ("detail", ev.detail.as_str().into()),
+        ]);
+        out.push_str(&line.render());
+        out.push('\n');
     }
     out
 }
 
 /// Export events as Chrome `trace_event` JSON (the "JSON Array Format"
-/// wrapped in `{"traceEvents": [...]}`), loadable in `chrome://tracing`
-/// and Perfetto. Batches become tracks (`tid`), spans become `B`/`E`
-/// pairs, instants become `i` events. Timestamps are microseconds; with
-/// `normalize`, the sequence number stands in for the timestamp.
+/// wrapped in `{"traceEvents": [...]}`, one event per line), loadable in
+/// `chrome://tracing` and Perfetto. Batches become tracks (`tid`), spans
+/// become `B`/`E` pairs, instants become `i` events. Timestamps are
+/// microseconds; with `normalize`, the sequence number stands in for the
+/// timestamp.
 pub fn export_chrome(events: &[TraceEvent], normalize: bool) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, ev) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n{\"name\":\"");
-        out.push_str(&json_escape(ev.name));
-        let ts = event_ts(ev, normalize);
         let tid = if ev.batch == NO_BATCH {
             0
         } else {
             ev.batch + 1
         };
-        let _ = write!(
-            out,
-            "\",\"ph\":\"{}\",\"ts\":{}.{:03},\"pid\":0,\"tid\":{}",
-            ev.kind.code(),
-            ts / 1000,
-            ts % 1000,
-            tid
-        );
+        let mut members = vec![
+            ("name", ev.name.into()),
+            ("ph", ev.kind.code().into()),
+            ("ts", (event_ts(ev, normalize) as f64 / 1e3).into()),
+            ("pid", JVal::Int(0)),
+            ("tid", tid.into()),
+        ];
         if ev.kind == EventKind::Mark {
-            out.push_str(",\"s\":\"t\"");
+            members.push(("s", "t".into()));
         }
-        let _ = write!(
-            out,
-            ",\"args\":{{\"seq\":{},\"span\":{},\"parent\":{},\"n\":{},\"detail\":\"",
-            ev.seq, ev.span.0, ev.parent.0, ev.n
-        );
-        out.push_str(&json_escape(&ev.detail));
-        out.push_str("\"}}");
+        members.push((
+            "args",
+            JVal::obj(vec![
+                ("seq", ev.seq.into()),
+                ("span", span_json(ev.span)),
+                ("parent", span_json(ev.parent)),
+                ("n", ev.n.into()),
+                ("detail", ev.detail.as_str().into()),
+            ]),
+        ));
+        out.push('\n');
+        out.push_str(&JVal::obj(members).render());
     }
     out.push_str("\n]}\n");
     out
@@ -519,13 +499,6 @@ mod tests {
         tracer.end("Aggregate", 0, op, b, 42);
         tracer.end("batch", 0, b, q, 0);
         tracer.end("query", NO_BATCH, q, SpanId::NONE, 0);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\r\t\u{1}"), "\\r\\t\\u0001");
-        assert_eq!(json_escape("plain é 𝄞"), "plain é 𝄞");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! store lock (`finish` writes `'D'` under it); the store lock never
 //! acquires the state lock. srclint L009 checks the scheduler side.
 
-use crate::wire::JVal;
+use crate::wire::{parse, JVal};
 use iolap_relation::{DataType, Field, Relation, Schema, Value};
 use iolap_store::{ensure_dir, scan_segment, truncate_tail, SegmentWriter, SEGMENT_HEADER_LEN};
 use std::collections::BTreeMap;
@@ -355,6 +355,14 @@ pub fn rows_to_relation(rows: &JVal, schema: &Schema) -> Result<Relation, String
     Ok(Relation::from_values(schema.clone(), vals))
 }
 
+/// Decode one append's canonical rows JSON — as `tcp` queues it and an
+/// `'A'` record stores it — against the stream schema. The one decoder
+/// both a live append and its replay on recovery go through.
+pub fn decode_append(rows_json: &str, schema: &Schema) -> Result<Relation, String> {
+    let rows = parse(rows_json).map_err(|e| e.to_string())?;
+    rows_to_relation(&rows, schema)
+}
+
 fn coerce_cell(field: &Field, cell: &JVal, row: usize) -> Result<Value, String> {
     let mismatch = |got: &str| {
         Err(format!(
@@ -365,17 +373,19 @@ fn coerce_cell(field: &Field, cell: &JVal, row: usize) -> Result<Value, String> 
     match (field.data_type, cell) {
         (_, JVal::Null) => Ok(Value::Null),
         (DataType::Bool, JVal::Bool(b)) => Ok(Value::Bool(*b)),
-        (DataType::Int, JVal::Num(x)) => {
-            if x.fract() == 0.0 && *x >= -(2f64.powi(53)) && *x <= 2f64.powi(53) {
-                Ok(Value::Int(*x as i64))
-            } else {
-                mismatch("non-integral number")
-            }
+        (DataType::Int, JVal::Int(i)) => Ok(Value::Int(*i)),
+        // A float literal (`1e3`) is an integer only where a float holds
+        // every integer exactly.
+        (DataType::Int, JVal::Num(x)) if x.fract() != 0.0 => mismatch("non-integral number"),
+        (DataType::Int, JVal::Num(x)) if x.abs() > 2f64.powi(53) => {
+            mismatch("an out-of-range number")
         }
+        (DataType::Int, JVal::Num(x)) => Ok(Value::Int(*x as i64)),
+        (DataType::Float, JVal::Int(i)) => Ok(Value::Float(*i as f64)),
         (DataType::Float, JVal::Num(x)) => Ok(Value::Float(*x)),
         (DataType::Str, JVal::Str(s)) => Ok(Value::Str(s.as_str().into())),
         (_, JVal::Bool(_)) => mismatch("a boolean"),
-        (_, JVal::Num(_)) => mismatch("a number"),
+        (_, JVal::Int(_) | JVal::Num(_)) => mismatch("a number"),
         (_, JVal::Str(_)) => mismatch("a string"),
         (_, JVal::Arr(_)) => mismatch("an array"),
         (_, JVal::Obj(_)) => mismatch("an object"),
@@ -522,5 +532,61 @@ mod tests {
         assert!(bad(r#"[[1.5, 2.0, "a", true]]"#).contains("non-integral"));
         assert!(bad(r#"[["x", 2.0, "a", true]]"#).contains("cannot coerce"));
         assert!(bad(r#"[[1, 2.0, "a", [true]]]"#).contains("an array"));
+        // Float literals keep the 2^53 rule; `1e3` is still an integer.
+        assert!(bad(r#"[[1e17, 2.0, "a", true]]"#).contains("column `id`"));
+        let rows = wire::parse(r#"[[1e3, 2.0, "a", true]]"#).unwrap();
+        let rel = rows_to_relation(&rows, &schema).unwrap();
+        assert_eq!(rel.rows()[0].values[0], Value::Int(1000));
+    }
+
+    #[test]
+    fn appended_integers_arrive_exactly() {
+        let exact = [(1i64 << 53) + 1, -((1i64 << 53) + 1), i64::MIN, i64::MAX];
+        let request = format!(
+            r#"{{"op":"append","rows":[{}]}}"#,
+            exact
+                .iter()
+                .map(|i| format!(r#"[{i}, 1.5, "a", true]"#))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let rows = wire::parse(&request).unwrap().get("rows").unwrap().clone();
+        // Straight from the request, and through the canonical form `tcp`
+        // queues and the `'A'` record stores.
+        for rel in [
+            rows_to_relation(&rows, &test_schema()).unwrap(),
+            decode_append(&rows.render(), &test_schema()).unwrap(),
+        ] {
+            let got: Vec<Value> = rel.rows().iter().map(|r| r.values[0].clone()).collect();
+            assert_eq!(got, exact.map(Value::Int));
+        }
+        assert!(rows.render().contains("[9007199254740993,1.5"));
+
+        let err = decode_append(r#"[[9223372036854775808, 1.5, "a", true]]"#, &test_schema())
+            .unwrap_err();
+        assert!(err.contains("column `id`"), "{err}");
+    }
+
+    #[test]
+    fn reports_print_integer_cells_exactly() {
+        let schema = Schema::from_pairs(&[("n", DataType::Int)]);
+        let report = iolap_core::BatchReport {
+            batch: 0,
+            result: iolap_core::QueryResult {
+                relation: Relation::from_values(schema, vec![vec![Value::Int(i64::MAX)]]),
+                names: vec!["n".to_string()],
+                estimates: vec![vec![None]],
+            },
+            stats: Default::default(),
+            metrics: Default::default(),
+            elapsed: std::time::Duration::ZERO,
+            fraction: 1.0,
+            recovered: false,
+            state_bytes_join: 0,
+            state_bytes_other: 0,
+            self_time_ns: Vec::new(),
+        };
+        let line = crate::tcp::report_json(&report);
+        assert!(line.contains(r#""rows":[[9223372036854775807]]"#), "{line}");
     }
 }

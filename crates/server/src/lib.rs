@@ -16,8 +16,8 @@
 //!   [`SessionHandle`], lifecycle states, admission errors.
 //! * [`scheduler`] — [`Server`]: the worker pool, the cooperative
 //!   round-robin batch scheduler, admission control, and EDF shedding.
-//! * [`wire`] — dependency-free newline-delimited JSON parsing/encoding for
-//!   the line protocol (the canonical escape shared with `bench`'s emitter).
+//! * [`wire`] — the exact `shard.fold` frame codec, and re-exports of the
+//!   one JSON codec (`iolap_core::json`) the line protocol speaks.
 //! * [`tcp`] — the `std::net::TcpListener` front-end speaking [`wire`].
 //! * [`shard`] — scale-out pools (§8): in-process thread shards and TCP
 //!   worker shards executing aggregate fold fragments, merged by the

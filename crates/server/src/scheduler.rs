@@ -670,9 +670,7 @@ fn worker_loop(shared: Arc<Shared>) {
         let mut durable_ok = 0u64;
         let mut durable_err = 0u64;
         for rows_json in pending {
-            let parsed = crate::wire::parse(&rows_json).map_err(|e| e.to_string());
-            let rel = parsed
-                .and_then(|rows| crate::durable::rows_to_relation(&rows, driver.stream_schema()));
+            let rel = crate::durable::decode_append(&rows_json, driver.stream_schema());
             let applied = rel.and_then(|rel| driver.append_rows(rel).map_err(|e| e.to_string()));
             match applied {
                 Ok(_) => {
@@ -1116,12 +1114,7 @@ impl Server {
                         });
                     }
                     crate::durable::LogRecord::Append(rows_json) => {
-                        let rel = crate::wire::parse(rows_json)
-                            .map_err(|e| e.to_string())
-                            .and_then(|rows| {
-                                crate::durable::rows_to_relation(&rows, driver.stream_schema())
-                            });
-                        match rel {
+                        match crate::durable::decode_append(rows_json, driver.stream_schema()) {
                             Ok(rel) => events.push(iolap_core::ReplayEvent::Append(rel)),
                             Err(e) => {
                                 // An append that replayed fine when first

@@ -26,8 +26,8 @@
 //! instead.
 
 use crate::wire::{
-    self, escape, frag_from_json, frag_json, partial_from_json, partial_json, rows_from_json,
-    rows_json, JVal,
+    self, fold_request_json, fold_response_json, frag_from_json, frag_json, partial_from_json,
+    rows_from_json, rows_json, JVal,
 };
 use iolap_core::shard::partition_bounds;
 use iolap_core::trace::{SpanId, Tracer};
@@ -287,18 +287,37 @@ impl ShardExec for ThreadShardPool {
 // ---------------------------------------------------------------------------
 
 fn err_frame(kind: &str, msg: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"msg\":\"{}\"}}}}",
-        escape(kind),
-        escape(msg)
-    )
+    JVal::obj(vec![
+        ("ok", JVal::Bool(false)),
+        (
+            "error",
+            JVal::obj(vec![("kind", kind.into()), ("msg", msg.into())]),
+        ),
+    ])
+    .render()
 }
 
-/// Why a decoded fold request cannot be folded as sent: a group or
-/// argument column past the end of a row (the kernel would index out of
-/// bounds), or a weight vector whose length is not the fragment's trial
-/// count (the trial kernels would silently truncate it).
-fn check_fold_input(frag: &FoldFragment, rows: &[ORow]) -> Result<(), &'static str> {
+/// Most bootstrap trials a `shard.fold` request may ask for: far above the
+/// paper's 100 and any trial count the experiments sweep, and small enough
+/// that the fold's per-group trial vectors cannot exhaust memory.
+const MAX_FOLD_TRIALS: usize = 10_000;
+
+/// Why a decoded fold request cannot be folded as sent: a trial count past
+/// [`MAX_FOLD_TRIALS`] (the fold allocates two vectors of that length per
+/// group and call), a `base` whose partition indices would overflow, a
+/// group or argument column past the end of a row (the kernel would index
+/// out of bounds), or a weight vector whose length is not the fragment's
+/// trial count (the trial kernels would silently truncate it).
+fn check_fold_input(frag: &FoldFragment, rows: &[ORow], base: usize) -> Result<(), &'static str> {
+    if frag.trials > MAX_FOLD_TRIALS {
+        return Err("trial count above the fold limit");
+    }
+    if base
+        .checked_add(partition_bounds(rows.len()).count())
+        .is_none()
+    {
+        return Err("base partition index overflows");
+    }
     let args = frag.srcs.iter().filter_map(|s| match s {
         FragSrc::Col(j) => Some(*j),
         FragSrc::Lit(_) => None,
@@ -322,8 +341,8 @@ fn check_fold_input(frag: &FoldFragment, rows: &[ORow]) -> Result<(), &'static s
 /// * `{"op":"shard.fold","base":B,"certain":C,"frag":F,"rows":R}` →
 ///   `{"ok":true,"partials":[...]}` — folds the rows on the grid and
 ///   returns one partial per partition, indices offset by `base` (the
-///   global index of the block's first partition). Columns past a row's
-///   end or weight vectors of the wrong length are a `bad_request`. An
+///   global index of the block's first partition). Anything
+///   [`check_fold_input`] refuses is a `bad_request`. An
 ///   optional `"trace":{"span":S,"batch":B}` member makes the worker run
 ///   the fold under a local journal and append
 ///   `"spans":[{"name","n","d"}]` summaries (no timestamps) for the
@@ -334,7 +353,9 @@ pub fn handle_shard_request(line: &str) -> String {
         Err(e) => return err_frame("bad_json", &e.to_string()),
     };
     match req.get("op").and_then(JVal::as_str) {
-        Some("shard.ping") => "{\"ok\":true,\"pong\":true}".to_string(),
+        Some("shard.ping") => {
+            JVal::obj(vec![("ok", JVal::Bool(true)), ("pong", JVal::Bool(true))]).render()
+        }
         Some("shard.fold") => {
             let Some(frag) = req.get("frag").and_then(frag_from_json) else {
                 return err_frame("bad_request", "missing or malformed frag");
@@ -345,11 +366,14 @@ pub fn handle_shard_request(line: &str) -> String {
             let Some(certain) = req.get("certain").and_then(JVal::as_bool) else {
                 return err_frame("bad_request", "missing certain flag");
             };
-            let base = match req.get("base").and_then(JVal::as_u64) {
-                Some(b) => b as usize,
-                None => return err_frame("bad_request", "missing base partition"),
+            let Some(base) = req
+                .get("base")
+                .and_then(JVal::as_u64)
+                .and_then(|b| usize::try_from(b).ok())
+            else {
+                return err_frame("bad_request", "missing base partition");
             };
-            if let Err(why) = check_fold_input(&frag, &rows) {
+            if let Err(why) = check_fold_input(&frag, &rows, base) {
                 return err_frame("bad_request", why);
             }
             // A traced fold runs under a worker-local journal: no shared
@@ -372,19 +396,11 @@ pub fn handle_shard_request(line: &str) -> String {
                 // hear "unfoldable", not a partial, to fall back.
                 return err_frame("unfoldable", "fragment not interpretable over these rows");
             };
-            let mut out = String::from("{\"ok\":true,\"partials\":[");
-            for (i, p) in partials.iter_mut().enumerate() {
+            // `check_fold_input` bounded `base` + partition count.
+            for p in &mut partials {
                 p.partition += base;
-                if i > 0 {
-                    out.push(',');
-                }
-                match partial_json(p) {
-                    Some(frame) => out.push_str(&frame),
-                    None => return err_frame("unfoldable", "partial not encodable"),
-                }
             }
-            out.push(']');
-            if let Some((t, span, batch)) = journal {
+            let spans = journal.map(|(t, span, batch)| {
                 t.instant(
                     "shard.worker.partials",
                     batch,
@@ -399,24 +415,22 @@ pub fn handle_shard_request(line: &str) -> String {
                     SpanId::NONE,
                     rows.len() as u64,
                 );
-                let spans = JVal::Arr(
+                JVal::Arr(
                     t.events()
                         .iter()
                         .filter(|e| e.kind != iolap_core::trace::EventKind::Begin)
                         .map(|e| {
                             JVal::obj(vec![
-                                ("name", JVal::str(e.name)),
-                                ("n", JVal::Num(e.n as f64)),
-                                ("d", JVal::str(&e.detail)),
+                                ("name", e.name.into()),
+                                ("n", e.n.into()),
+                                ("d", e.detail.as_str().into()),
                             ])
                         })
                         .collect(),
-                );
-                out.push_str(",\"spans\":");
-                out.push_str(&spans.render());
-            }
-            out.push('}');
-            out
+                )
+            });
+            fold_response_json(&partials, spans.as_ref())
+                .unwrap_or_else(|| err_frame("unfoldable", "partial not encodable"))
         }
         _ => err_frame("bad_request", "unknown op"),
     }
@@ -523,7 +537,7 @@ impl TcpShardPool {
             let mut conn = conn
                 .lock()
                 .map_err(|_| EngineError::Plan("shard connection poisoned".to_string()))?;
-            let line = conn.exchange("{\"op\":\"shard.ping\"}")?;
+            let line = conn.exchange(&JVal::obj(vec![("op", "shard.ping".into())]).render())?;
             let ok = wire::parse(line.trim())
                 .ok()
                 .and_then(|v| v.get("ok").and_then(JVal::as_bool))
@@ -536,7 +550,7 @@ impl TcpShardPool {
     }
 
     /// Ship one block's rows to its worker in a `shard.fold` request and
-    /// parse the partials (and, when `trace_field` is set, the worker's
+    /// parse the partials (and, when `trace` is set, the worker's
     /// span summaries) out of the response.
     fn fold_remote(
         &self,
@@ -544,15 +558,12 @@ impl TcpShardPool {
         frag_frame: &str,
         rows: &[ORow],
         certain: bool,
-        trace_field: &str,
+        trace: Option<(SpanId, usize)>,
     ) -> BlockFold {
         let Some(rows_frame) = rows_json(rows) else {
             return Ok(None); // lineage cell → coordinator folds locally
         };
-        let request = format!(
-            "{{\"op\":\"shard.fold\",\"base\":{},\"certain\":{certain}{trace_field},\"frag\":{frag_frame},\"rows\":{rows_frame}}}",
-            block.base
-        );
+        let request = fold_request_json(block.base, certain, trace, frag_frame, &rows_frame);
         // A poisoned lock means another dispatch thread died mid-exchange;
         // the stream may hold a half-written frame, so fail the fold
         // rather than panic (or worse, desync the line protocol).
@@ -617,16 +628,9 @@ impl TcpShardPool {
         let Some(frag_frame) = frag_json(frag) else {
             return Ok(None);
         };
-        let trace_field = trace
-            .map(|t| {
-                format!(
-                    ",\"trace\":{{\"span\":{},\"batch\":{}}}",
-                    t.parent.0, t.batch
-                )
-            })
-            .unwrap_or_default();
+        let trace_parent = trace.map(|t| (t.parent, t.batch));
         self.fanout.fold(rows.len(), trace, |b| {
-            self.fold_remote(b, &frag_frame, &rows[b.lo..b.hi], certain, &trace_field)
+            self.fold_remote(b, &frag_frame, &rows[b.lo..b.hi], certain, trace_parent)
         })
     }
 }
@@ -667,7 +671,7 @@ impl ShardExec for TcpShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolap_core::FragKind;
+    use iolap_core::{FragKind, PARTITION_ROWS};
     use iolap_relation::Value;
     use std::sync::Arc;
 
@@ -785,10 +789,12 @@ mod tests {
     #[test]
     fn worker_dispatch_folds_and_reindexes() {
         let rows = sample_rows(4);
-        let request = format!(
-            "{{\"op\":\"shard.fold\",\"base\":7,\"certain\":false,\"frag\":{},\"rows\":{}}}",
-            frag_json(&frag()).unwrap(),
-            rows_json(&rows).unwrap()
+        let request = fold_request_json(
+            7,
+            false,
+            None,
+            &frag_json(&frag()).unwrap(),
+            &rows_json(&rows).unwrap(),
         );
         let response = handle_shard_request(&request);
         let v = wire::parse(&response).unwrap();
@@ -803,13 +809,16 @@ mod tests {
 
     #[test]
     fn worker_dispatch_rejects_malformed_frames() {
-        let fold = |frag: &FoldFragment, rows: &[ORow]| {
-            format!(
-                "{{\"op\":\"shard.fold\",\"base\":0,\"certain\":true,\"frag\":{},\"rows\":{}}}",
-                frag_json(frag).unwrap(),
-                rows_json(rows).unwrap()
+        let fold_at = |base: usize, frag: &FoldFragment, rows: &[ORow]| {
+            fold_request_json(
+                base,
+                true,
+                None,
+                &frag_json(frag).unwrap(),
+                &rows_json(rows).unwrap(),
             )
         };
+        let fold = |frag: &FoldFragment, rows: &[ORow]| fold_at(0, frag, rows);
         // A group column, then an argument column, past the rows' end.
         let wide_group = FoldFragment {
             group_cols: vec![5],
@@ -825,8 +834,23 @@ mod tests {
             1.0,
             Some(vec![1.0, 2.0]),
         )];
+        // One unweighted row asking for 10^17 trials: two vectors of that
+        // length per group would be ~1.6 EB.
+        let unweighted = vec![row(vec![Value::Int(0), Value::Float(1.0)], 1.0, None)];
+        let huge_trials = fold(&frag(), &unweighted).replace("\"trials\":3", "\"trials\":1e17");
+        // Two partitions re-based past the end of the index space. The
+        // literal 2^64 - 1 reads as the float 2^64, so the worker refuses
+        // it as a base before adding; the test below checks the addition.
+        let overflowing_base = fold_at(usize::MAX, &frag(), &sample_rows(PARTITION_ROWS + 1));
         for (line, kind) in [
             ("not json".to_string(), "bad_json"),
+            ("[".repeat(100_000), "bad_json"),
+            // Nesting exactly at the parser's bound parses: it is only not
+            // a request.
+            (
+                format!("{}{}", "[".repeat(128), "]".repeat(128)),
+                "bad_request",
+            ),
             ("{\"op\":\"nope\"}".to_string(), "bad_request"),
             (
                 "{\"op\":\"shard.ack\",\"partials\":1}".to_string(),
@@ -840,6 +864,8 @@ mod tests {
             (fold(&wide_group, &sample_rows(3)), "bad_request"),
             (fold(&wide_arg, &sample_rows(3)), "bad_request"),
             (fold(&frag(), &short_weights), "bad_request"),
+            (huge_trials, "bad_request"),
+            (overflowing_base, "bad_request"),
         ] {
             let resp = handle_shard_request(&line);
             let v = wire::parse(&resp).unwrap();
@@ -852,6 +878,24 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn fold_input_check_bounds_base_and_trials() {
+        let rows = sample_rows(PARTITION_ROWS + 1); // 2 partitions
+        assert_eq!(check_fold_input(&frag(), &rows, usize::MAX - 2), Ok(()));
+        assert!(check_fold_input(&frag(), &rows, usize::MAX - 1).is_err());
+        let at_limit = FoldFragment {
+            trials: MAX_FOLD_TRIALS,
+            ..frag()
+        };
+        let unweighted = vec![row(vec![Value::Int(0), Value::Float(1.0)], 1.0, None)];
+        assert_eq!(check_fold_input(&at_limit, &unweighted, 0), Ok(()));
+        let past_limit = FoldFragment {
+            trials: MAX_FOLD_TRIALS + 1,
+            ..frag()
+        };
+        assert!(check_fold_input(&past_limit, &unweighted, 0).is_err());
     }
 
     #[test]

@@ -27,10 +27,9 @@
 
 use crate::scheduler::Server;
 use crate::session::{AdmitError, SessionHandle, SessionSpec, SessionSummary};
-use crate::wire::{escape, num, parse, value_json, JVal};
+use crate::wire::{parse, JVal};
 use iolap_core::{BatchReport, IolapDriver};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -100,71 +99,43 @@ fn err_response(kind: &str, msg: &str) -> String {
 /// visible rows. `max_rel_ci` is `null` when the batch carries no error
 /// estimates (so accuracy-watching clients see the absence explicitly).
 pub fn report_json(r: &BatchReport) -> String {
-    let mut names = String::from("[");
-    for (i, n) in r.result.names.iter().enumerate() {
-        if i > 0 {
-            names.push(',');
-        }
-        let _ = write!(names, "\"{}\"", escape(n));
-    }
-    names.push(']');
-    let mut rows = String::from("[");
-    for (i, row) in r.result.relation.rows().iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push('[');
-        for (j, v) in row.values.iter().enumerate() {
-            if j > 0 {
-                rows.push(',');
-            }
-            rows.push_str(&value_json(v));
-        }
-        rows.push(']');
-    }
-    rows.push(']');
-    let ci = r
+    report_jval(r).render()
+}
+
+fn report_jval(r: &BatchReport) -> JVal {
+    let names = r.result.names.iter().map(|n| n.as_str().into()).collect();
+    let rows = r
         .result
-        .max_relative_ci_halfwidth()
-        .map(num)
-        .unwrap_or_else(|| "null".to_string());
-    format!(
-        concat!(
-            "{{\"batch\":{},\"fraction\":{},\"elapsed_ms\":{},",
-            "\"recovered\":{},\"max_rel_ci\":{},\"names\":{},\"rows\":{}}}"
-        ),
-        r.batch,
-        num(r.fraction),
-        num(r.elapsed.as_secs_f64() * 1e3),
-        r.recovered,
-        ci,
-        names,
-        rows,
-    )
+        .relation
+        .rows()
+        .iter()
+        .map(|row| JVal::Arr(row.values.iter().map(JVal::from).collect()))
+        .collect();
+    JVal::obj(vec![
+        ("batch", r.batch.into()),
+        ("fraction", r.fraction.into()),
+        ("elapsed_ms", (r.elapsed.as_secs_f64() * 1e3).into()),
+        ("recovered", r.recovered.into()),
+        ("max_rel_ci", r.result.max_relative_ci_halfwidth().into()),
+        ("names", JVal::Arr(names)),
+        ("rows", JVal::Arr(rows)),
+    ])
 }
 
 fn summary_json(s: &SessionSummary) -> JVal {
     JVal::obj(vec![
-        ("id", JVal::Num(s.id as f64)),
-        ("label", JVal::str(&s.label)),
-        ("state", JVal::str(s.state.as_str())),
-        (
-            "end",
-            s.end
-                .as_ref()
-                .map(|e| JVal::str(e.label()))
-                .unwrap_or(JVal::Null),
-        ),
-        ("batches_run", JVal::Num(s.batches_run as f64)),
-        ("total_batches", JVal::Num(s.total_batches as f64)),
-        ("pending_reports", JVal::Num(s.pending_reports as f64)),
+        ("id", s.id.into()),
+        ("label", s.label.as_str().into()),
+        ("state", s.state.as_str().into()),
+        ("end", s.end.as_ref().map(|e| e.label()).into()),
+        ("batches_run", s.batches_run.into()),
+        ("total_batches", s.total_batches.into()),
+        ("pending_reports", s.pending_reports.into()),
         (
             "elapsed_ms",
-            s.elapsed
-                .map(|d| JVal::Num(d.as_secs_f64() * 1e3))
-                .unwrap_or(JVal::Null),
+            s.elapsed.map(|d| d.as_secs_f64() * 1e3).into(),
         ),
-        ("mem_bytes", JVal::Num(s.mem_bytes as f64)),
+        ("mem_bytes", s.mem_bytes.into()),
     ])
 }
 
@@ -176,23 +147,13 @@ fn telemetry_summary_json(t: &crate::telemetry::Telemetry) -> JVal {
         .iter()
         .map(|(id, s)| {
             JVal::obj(vec![
-                ("id", JVal::Num(*id as f64)),
-                ("tenant", JVal::str(&s.label)),
-                ("batches", JVal::Num(s.batches as f64)),
-                ("total_batches", JVal::Num(s.total_batches as f64)),
-                (
-                    "rel_ci",
-                    s.last_rel_ci()
-                        .map(|(_, ci)| JVal::Num(ci))
-                        .unwrap_or(JVal::Null),
-                ),
-                (
-                    "predicted_remaining",
-                    s.predicted_remaining()
-                        .map(|r| JVal::Num(r as f64))
-                        .unwrap_or(JVal::Null),
-                ),
-                ("end", s.end.map(JVal::str).unwrap_or(JVal::Null)),
+                ("id", (*id).into()),
+                ("tenant", s.label.as_str().into()),
+                ("batches", s.batches.into()),
+                ("total_batches", s.total_batches.into()),
+                ("rel_ci", s.last_rel_ci().map(|(_, ci)| ci).into()),
+                ("predicted_remaining", s.predicted_remaining().into()),
+                ("end", s.end.into()),
             ])
         })
         .collect();
@@ -202,10 +163,10 @@ fn telemetry_summary_json(t: &crate::telemetry::Telemetry) -> JVal {
         .values()
         .map(|w| {
             JVal::obj(vec![
-                ("shard", JVal::Num(w.shard as f64)),
-                ("folds", JVal::Num(w.folds as f64)),
-                ("acked", JVal::Num(w.acked as f64)),
-                ("response_bytes", JVal::Num(w.response_bytes as f64)),
+                ("shard", w.shard.into()),
+                ("folds", w.folds.into()),
+                ("acked", w.acked.into()),
+                ("response_bytes", w.response_bytes.into()),
             ])
         })
         .collect();
@@ -218,13 +179,13 @@ fn telemetry_summary_json(t: &crate::telemetry::Telemetry) -> JVal {
         (
             "slo",
             JVal::obj(vec![
-                ("ci_sessions", JVal::Num(slo.ci_sessions as f64)),
-                ("ci_met", JVal::Num(slo.ci_met as f64)),
-                ("ci_batches", JVal::Num(slo.ci_batches as f64)),
-                ("ci_batches_saved", JVal::Num(slo.ci_batches_saved as f64)),
-                ("deadline_sessions", JVal::Num(slo.deadline_sessions as f64)),
-                ("deadline_met", JVal::Num(slo.deadline_met as f64)),
-                ("deadline_overrun", JVal::Num(slo.deadline_overrun as f64)),
+                ("ci_sessions", slo.ci_sessions.into()),
+                ("ci_met", slo.ci_met.into()),
+                ("ci_batches", slo.ci_batches.into()),
+                ("ci_batches_saved", slo.ci_batches_saved.into()),
+                ("deadline_sessions", slo.deadline_sessions.into()),
+                ("deadline_met", slo.deadline_met.into()),
+                ("deadline_overrun", slo.deadline_overrun.into()),
             ]),
         ),
         ("shards", JVal::Arr(shards)),
@@ -252,11 +213,7 @@ pub fn handle_request(
                 Ok(handle) => {
                     let id = handle.id();
                     sessions.insert(id, handle);
-                    JVal::obj(vec![
-                        ("ok", JVal::Bool(true)),
-                        ("session", JVal::Num(id as f64)),
-                    ])
-                    .render()
+                    JVal::obj(vec![("ok", JVal::Bool(true)), ("session", id.into())]).render()
                 }
                 Err(AdmitError::QueueFull { live, queued }) => err_response(
                     "queue_full",
@@ -289,7 +246,7 @@ pub fn handle_request(
                     &format!("no live session streams table \"{table}\""),
                 );
             }
-            format!("{{\"ok\":true,\"sessions\":{reached}}}")
+            JVal::obj(vec![("ok", JVal::Bool(true)), ("sessions", reached.into())]).render()
         }
         "resume" => {
             let Some(id) = req.get("session").and_then(JVal::as_u64) else {
@@ -299,12 +256,14 @@ pub fn handle_request(
                 crate::scheduler::ResumeStatus::Attached(handle) => {
                     let s = handle.summary();
                     sessions.insert(id, handle);
-                    format!(
-                        "{{\"ok\":true,\"session\":{id},\"state\":\"{}\",\"batches_run\":{},\"pending_reports\":{}}}",
-                        s.state.as_str(),
-                        s.batches_run,
-                        s.pending_reports
-                    )
+                    JVal::obj(vec![
+                        ("ok", JVal::Bool(true)),
+                        ("session", id.into()),
+                        ("state", s.state.as_str().into()),
+                        ("batches_run", s.batches_run.into()),
+                        ("pending_reports", s.pending_reports.into()),
+                    ])
+                    .render()
                 }
                 crate::scheduler::ResumeStatus::Finished(end) => err_response(
                     "session_finished",
@@ -326,26 +285,22 @@ pub fn handle_request(
             match op {
                 "poll" => {
                     let max = req.get("max").and_then(JVal::as_u64).unwrap_or(16) as usize;
-                    let mut reports = String::from("[");
-                    for i in 0..max {
-                        let Some(r) = handle.try_recv() else { break };
-                        if i > 0 {
-                            reports.push(',');
-                        }
-                        reports.push_str(&report_json(&r));
-                    }
-                    reports.push(']');
+                    let reports = std::iter::from_fn(|| handle.try_recv())
+                        .take(max)
+                        .map(|r| report_jval(&r))
+                        .collect();
                     let s = handle.summary();
-                    format!(
-                        "{{\"ok\":true,\"state\":\"{}\",\"batches_run\":{},\"reports\":{}}}",
-                        s.state.as_str(),
-                        s.batches_run,
-                        reports
-                    )
+                    JVal::obj(vec![
+                        ("ok", JVal::Bool(true)),
+                        ("state", s.state.as_str().into()),
+                        ("batches_run", s.batches_run.into()),
+                        ("reports", JVal::Arr(reports)),
+                    ])
+                    .render()
                 }
                 "cancel" => {
                     handle.cancel();
-                    "{\"ok\":true}".to_string()
+                    JVal::obj(vec![("ok", JVal::Bool(true))]).render()
                 }
                 _ => JVal::obj(vec![
                     ("ok", JVal::Bool(true)),
@@ -361,12 +316,12 @@ pub fn handle_request(
                 (
                     "stats",
                     JVal::obj(vec![
-                        ("live", JVal::Num(s.live as f64)),
-                        ("queued", JVal::Num(s.queued as f64)),
-                        ("admitted", JVal::Num(s.admitted as f64)),
-                        ("rejected", JVal::Num(s.rejected as f64)),
-                        ("shed", JVal::Num(s.shed as f64)),
-                        ("mem_bytes", JVal::Num(s.mem_bytes as f64)),
+                        ("live", s.live.into()),
+                        ("queued", s.queued.into()),
+                        ("admitted", s.admitted.into()),
+                        ("rejected", s.rejected.into()),
+                        ("shed", s.shed.into()),
+                        ("mem_bytes", s.mem_bytes.into()),
                     ]),
                 ),
             ])

@@ -1,471 +1,41 @@
-//! Dependency-free JSON for the newline-delimited line protocol.
+//! The exact shard-frame codec, and the JSON codec's paths for this
+//! crate's users.
 //!
-//! The repo's benchmark emitter (`bench/src/json.rs`) already hand-rolls
-//! JSON *encoding*; the TCP front-end additionally needs *parsing* for
-//! request lines. Both directions live here so there is exactly one
-//! escaping/number policy in the tree — the bench emitter delegates its
-//! `escape` to [`escape`] below, and non-finite floats become `null` in
-//! both emitters ([`num`]).
-//!
-//! The parser is a small recursive-descent over the full JSON grammar
-//! (objects, arrays, strings with escapes, numbers, literals). Documents
-//! are request lines a few hundred bytes long; no streaming, no zero-copy.
+//! JSON itself — [`JVal`], [`parse`], [`escape`] and the number policy —
+//! lives in `iolap_core::json` and is re-exported here, so the line
+//! protocol's users keep their paths. This module is the one place besides
+//! `iolap_core::json` that writes JSON text: the `shard.fold` frames. Each
+//! row of a fold request carries its per-trial weights as hex floats, so
+//! the frames are streamed into strings rather than built as a [`JVal`]
+//! tree, which would double the string work on the sharded hot path.
 
-use std::fmt;
+pub use iolap_core::json::{escape, parse, JVal, ParseError};
+
+use iolap_core::trace::SpanId;
+use iolap_core::{
+    AccState, FoldFragment, FoldPartial, FragKind, FragSrc, ORow, PartialCall, PartialGroup,
+};
+use iolap_relation::Value;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Object keys keep their document order (the
-/// protocol never relies on it, but determinism is free this way).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JVal {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JVal>),
-    /// An object, in document order.
-    Obj(Vec<(String, JVal)>),
+/// One relation cell as the line protocol renders it: `JVal::from(v)`.
+pub fn value_json(v: &Value) -> String {
+    JVal::from(v).render()
 }
 
-impl JVal {
-    /// Member `key` of an object, if present.
-    pub fn get(&self, key: &str) -> Option<&JVal> {
-        match self {
-            JVal::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload as `u64`, when non-negative, integral, and in
-    /// range. The bound is strict: `u64::MAX as f64` rounds *up* to 2^64,
-    /// which is one past the last representable `u64`, so an inclusive
-    /// comparison would admit 18446744073709551616.0 and silently
-    /// saturate it to `u64::MAX`. Every finite f64 strictly below 2^64 is
-    /// exact under `as u64`.
-    pub fn as_u64(&self) -> Option<u64> {
-        const TWO_POW_64: f64 = u64::MAX as f64; // == 2^64 exactly
-        match self {
-            JVal::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// Boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JVal::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object from `(key, value)` pairs, in order — the builder the TCP
-    /// front-end assembles every response from, so reply framing is
-    /// structurally correct by construction (hostile labels and error
-    /// strings go through [`escape`], numbers through [`num`]).
-    pub fn obj(members: Vec<(&str, JVal)>) -> JVal {
-        JVal::Obj(
-            members
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// String value.
-    pub fn str(s: impl Into<String>) -> JVal {
-        JVal::Str(s.into())
-    }
-
-    /// Render as a compact one-line JSON document: canonical [`escape`]
-    /// for strings (keys included), the [`num`] policy for numbers
-    /// (non-finite becomes `null`). [`parse`] round-trips the output.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write_to(&mut out);
-        out
-    }
-
-    fn write_to(&self, out: &mut String) {
-        match self {
-            JVal::Null => out.push_str("null"),
-            JVal::Bool(b) => {
-                out.push_str(if *b { "true" } else { "false" });
-            }
-            JVal::Num(n) => out.push_str(&num(*n)),
-            JVal::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            JVal::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_to(out);
-                }
-                out.push(']');
-            }
-            JVal::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\":");
-                    v.write_to(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl fmt::Display for JVal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-/// A parse failure: byte position plus message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset where parsing failed.
-    pub pos: usize,
-    /// What was expected.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.pos, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parse one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse(input: &str) -> Result<JVal, ParseError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(ParseError {
-            pos,
-            msg: "trailing characters after document",
-        });
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err(ParseError {
-            pos: *pos,
-            msg: "unexpected end of input",
-        }),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos).map(JVal::Str),
-        Some(b't') => parse_literal(b, pos, "true", JVal::Bool(true)),
-        Some(b'f') => parse_literal(b, pos, "false", JVal::Bool(false)),
-        Some(b'n') => parse_literal(b, pos, "null", JVal::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(_) => Err(ParseError {
-            pos: *pos,
-            msg: "expected a JSON value",
-        }),
-    }
-}
-
-fn parse_literal(
-    b: &[u8],
-    pos: &mut usize,
-    lit: &'static str,
-    v: JVal,
-) -> Result<JVal, ParseError> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(ParseError {
-            pos: *pos,
-            msg: "invalid literal",
-        })
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
-    // Strict RFC 8259 grammar: `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`.
-    // The structure is validated *before* `f64::from_str`, so lenient forms
-    // Rust's float parser accepts ("1.", ".5", "inf", "1e") can never leak
-    // in: two shard peers must agree byte-for-byte on what a valid frame is.
-    let start = *pos;
-    let err = ParseError {
-        pos: start,
-        msg: "invalid number",
-    };
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    match b.get(*pos) {
-        Some(b'0') => *pos += 1,
-        Some(b'1'..=b'9') => {
-            while matches!(b.get(*pos), Some(b'0'..=b'9')) {
-                *pos += 1;
-            }
-        }
-        _ => return Err(err),
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !matches!(b.get(*pos), Some(b'0'..=b'9')) {
-            return Err(err);
-        }
-        while matches!(b.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !matches!(b.get(*pos), Some(b'0'..=b'9')) {
-            return Err(err);
-        }
-        while matches!(b.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(JVal::Num)
-        .ok_or(err)
-}
-
-/// Exactly four ASCII hex digits starting at `at`. `from_str_radix` alone
-/// would also accept a leading `+`, so digits are checked explicitly.
-fn hex4(b: &[u8], at: usize) -> Option<u32> {
-    b.get(at..at + 4)
-        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-        .and_then(|h| std::str::from_utf8(h).ok())
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => {
-                return Err(ParseError {
-                    pos: *pos,
-                    msg: "unterminated string",
-                })
-            }
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hi = hex4(b, *pos + 1).ok_or(ParseError {
-                            pos: *pos,
-                            msg: "invalid \\u escape",
-                        })?;
-                        *pos += 4;
-                        match hi {
-                            // High surrogate: a low-surrogate escape must
-                            // follow immediately; together they name one
-                            // astral-plane scalar.
-                            0xD800..=0xDBFF => {
-                                if b.get(*pos + 1) != Some(&b'\\') || b.get(*pos + 2) != Some(&b'u')
-                                {
-                                    return Err(ParseError {
-                                        pos: *pos,
-                                        msg: "lone high surrogate in \\u escape",
-                                    });
-                                }
-                                let lo = hex4(b, *pos + 3).ok_or(ParseError {
-                                    pos: *pos,
-                                    msg: "invalid \\u escape",
-                                })?;
-                                if !(0xDC00..=0xDFFF).contains(&lo) {
-                                    return Err(ParseError {
-                                        pos: *pos,
-                                        msg: "lone high surrogate in \\u escape",
-                                    });
-                                }
-                                *pos += 6;
-                                let scalar = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                out.push(char::from_u32(scalar).expect("valid surrogate pair"));
-                            }
-                            0xDC00..=0xDFFF => {
-                                return Err(ParseError {
-                                    pos: *pos,
-                                    msg: "lone low surrogate in \\u escape",
-                                });
-                            }
-                            _ => out.push(char::from_u32(hi).expect("non-surrogate BMP scalar")),
-                        }
-                    }
-                    _ => {
-                        return Err(ParseError {
-                            pos: *pos,
-                            msg: "invalid escape",
-                        })
-                    }
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume the whole unescaped run in one slice. `"` and
-                // `\` are ASCII, so a byte scan can never split a
-                // multi-byte UTF-8 sequence, and validating only the run
-                // keeps the parser linear (validating the remaining input
-                // per character made megabyte shard frames quadratic).
-                let start = *pos;
-                while matches!(b.get(*pos), Some(&c) if c != b'"' && c != b'\\') {
-                    *pos += 1;
-                }
-                let run = std::str::from_utf8(&b[start..*pos]).map_err(|_| ParseError {
-                    pos: start,
-                    msg: "invalid utf-8 in string",
-                })?;
-                out.push_str(run);
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JVal::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JVal::Arr(items));
-            }
-            _ => {
-                return Err(ParseError {
-                    pos: *pos,
-                    msg: "expected ',' or ']'",
-                })
-            }
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JVal, ParseError> {
-    *pos += 1; // consume '{'
-    let mut members = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JVal::Obj(members));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(ParseError {
-                pos: *pos,
-                msg: "expected object key",
-            });
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(ParseError {
-                pos: *pos,
-                msg: "expected ':'",
-            });
-        }
-        *pos += 1;
-        let value = parse_value(b, pos)?;
-        members.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JVal::Obj(members));
-            }
-            _ => {
-                return Err(ParseError {
-                    pos: *pos,
-                    msg: "expected ',' or '}'",
-                })
-            }
-        }
-    }
-}
-
-pub use iolap_core::trace::json_escape as escape;
-
-/// A finite JSON number; non-finite floats become `null` (JSON has no
-/// NaN) — the same policy the benchmark record uses.
-pub fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
+// ---------------------------------------------------------------------------
+// Shard RPC frames (§8 scale-out: plan-fragment dispatch / partial-state ship)
+// ---------------------------------------------------------------------------
+//
+// Frames must be *exact*: a decoded fragment folds on the shard and its
+// partial merges into the coordinator's float state, so every number
+// crosses as either a decimal integer string (i64) or an IEEE-754 bit
+// pattern ([`f64_to_hex`]). Cells use tagged arrays — `["i","-42"]`,
+// `["f","3ff8000000000000"]`, `["s","txt"]`, `["b",true]`, bare `null` —
+// so the type survives independently of JSON number semantics. Lineage
+// cells (`Ref`/`Pending`) are not shippable: encoders return `None` and
+// the coordinator folds that batch locally (the `Ok(None)` contract of
+// `ShardExec::fold`).
 
 /// Exact `f64` transport for shard frames: the 16 lowercase hex digits of
 /// the IEEE-754 bit pattern. JSON numbers round-trip through decimal and
@@ -484,41 +54,6 @@ pub fn f64_from_hex(s: &str) -> Option<f64> {
     }
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
-
-/// Encode one relation cell for the wire: `Null`/`Bool`/`Int`/`Float` map
-/// to their JSON natives, strings are escaped, and the internal lineage
-/// variants (`Ref`, `Pending` — never user-visible in a published result)
-/// fall back to their debug rendering as strings.
-pub fn value_json(v: &iolap_relation::Value) -> String {
-    use iolap_relation::Value;
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => num(*f),
-        Value::Str(s) => format!("\"{}\"", escape(s)),
-        other => format!("\"{}\"", escape(&format!("{other:?}"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard RPC frames (§8 scale-out: plan-fragment dispatch / partial-state ship)
-// ---------------------------------------------------------------------------
-//
-// Frames must be *exact*: a decoded fragment folds on the shard and its
-// partial merges into the coordinator's float state, so every number
-// crosses as either a decimal integer string (i64) or an IEEE-754 bit
-// pattern ([`f64_to_hex`]). Cells use tagged arrays — `["i","-42"]`,
-// `["f","3ff8000000000000"]`, `["s","txt"]`, `["b",true]`, bare `null` —
-// so the type survives independently of JSON number semantics. Lineage
-// cells (`Ref`/`Pending`) are not shippable: encoders return `None` and
-// the coordinator folds that batch locally (the `Ok(None)` contract of
-// `ShardExec::fold`).
-
-use iolap_core::{
-    AccState, FoldFragment, FoldPartial, FragKind, FragSrc, ORow, PartialCall, PartialGroup,
-};
-use iolap_relation::Value;
 
 /// Encode one relation cell as an exact tagged frame; `None` for lineage
 /// variants (those rows cannot leave the coordinator).
@@ -797,6 +332,55 @@ pub fn partial_from_json(v: &JVal) -> Option<FoldPartial> {
     Some(FoldPartial { partition, groups })
 }
 
+/// The `shard.fold` request for one block of the grid:
+/// `{"op":"shard.fold","base":B,"certain":C,"frag":F,"rows":R}`, where `B`
+/// is the global index of the block's first partition and `F`/`R` are
+/// [`frag_json`]/[`rows_json`] frames. `trace` (the coordinator's parent
+/// span and batch) adds `"trace":{"span":S,"batch":N}` before `"frag"`.
+pub fn fold_request_json(
+    base: usize,
+    certain: bool,
+    trace: Option<(SpanId, usize)>,
+    frag_frame: &str,
+    rows_frame: &str,
+) -> String {
+    let mut out = String::with_capacity(frag_frame.len() + rows_frame.len() + 96);
+    let _ = write!(
+        out,
+        "{{\"op\":\"shard.fold\",\"base\":{base},\"certain\":{certain}"
+    );
+    if let Some((span, batch)) = trace {
+        let _ = write!(out, ",\"trace\":{{\"span\":{},\"batch\":{batch}}}", span.0);
+    }
+    out.push_str(",\"frag\":");
+    out.push_str(frag_frame);
+    out.push_str(",\"rows\":");
+    out.push_str(rows_frame);
+    out.push('}');
+    out
+}
+
+/// A worker's answer to a `shard.fold` request:
+/// `{"ok":true,"partials":[P,...]}` with one [`partial_json`] frame per
+/// partition, plus `"spans":S` when the fold was traced. `None` when a
+/// partial is not encodable.
+pub fn fold_response_json(partials: &[FoldPartial], spans: Option<&JVal>) -> Option<String> {
+    let mut out = String::from("{\"ok\":true,\"partials\":[");
+    for (i, p) in partials.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&partial_json(p)?);
+    }
+    out.push(']');
+    if let Some(spans) = spans {
+        out.push_str(",\"spans\":");
+        out.push_str(&spans.render());
+    }
+    out.push('}');
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,7 +415,7 @@ mod tests {
         assert_eq!(parse("null").unwrap(), JVal::Null);
         assert_eq!(parse("true").unwrap(), JVal::Bool(true));
         assert_eq!(parse(" false ").unwrap(), JVal::Bool(false));
-        assert_eq!(parse("42").unwrap(), JVal::Num(42.0));
+        assert_eq!(parse("42").unwrap(), JVal::Int(42));
         assert_eq!(parse("-1.5e2").unwrap(), JVal::Num(-150.0));
         assert_eq!(parse("\"hi\"").unwrap(), JVal::Str("hi".into()));
     }
@@ -950,7 +534,7 @@ mod tests {
         assert!(parse("[1-2]").is_err());
         assert!(parse("[1e+,2]").is_err());
         // The strict grammar still admits every legitimate shape.
-        assert_eq!(parse("0").unwrap(), JVal::Num(0.0));
+        assert_eq!(parse("0").unwrap(), JVal::Int(0));
         assert_eq!(parse("-0").unwrap(), JVal::Num(-0.0));
         assert_eq!(parse("10.25").unwrap(), JVal::Num(10.25));
         assert_eq!(parse("1e3").unwrap(), JVal::Num(1000.0));

@@ -118,6 +118,29 @@ fn dispatcher_rejects_malformed_and_unknown() {
     }
 }
 
+/// A request nested far past the parser's bound is a `bad_json` reply on
+/// this connection, not a stack overflow that aborts every session on the
+/// server; nesting at the bound still parses.
+#[test]
+fn dispatcher_answers_deep_nesting_with_bad_json() {
+    let server = Server::new(ServerConfig::with_workers(1));
+    let f = factory();
+    let mut sessions = BTreeMap::new();
+    let at_bound = format!(
+        r#"{{"op":"stats","pad":{}{}}}"#,
+        "[".repeat(127),
+        "]".repeat(127)
+    );
+    for (line, ok) in [("[".repeat(100_000), false), (at_bound, true)] {
+        let resp = handle_request(&server, &f, &mut sessions, &line);
+        let v = parse(&resp).unwrap();
+        assert_eq!(v.get("ok").and_then(JVal::as_bool), Some(ok), "{resp}");
+        if !ok {
+            assert_eq!(v.get("kind").and_then(JVal::as_str), Some("bad_json"));
+        }
+    }
+}
+
 #[test]
 fn dispatcher_reports_queue_full_as_protocol_error() {
     let server = Server::new(ServerConfig::with_workers(1).max_live(1).max_queued(1));
