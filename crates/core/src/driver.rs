@@ -378,14 +378,6 @@ impl IolapDriver {
         self.shards.as_ref().map_or(0, |s| s.bytes_shipped())
     }
 
-    /// Per-worker counter snapshots from the attached shard pool (empty
-    /// without one, or for pools that report nothing).
-    pub fn shard_worker_stats(&self) -> Vec<crate::shard::ShardWorkerStats> {
-        self.shards
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.worker_stats())
-    }
-
     /// The configuration this driver was built with (the serving layer
     /// reads the seed for its deterministic scheduling tie-break).
     pub fn config(&self) -> &IolapConfig {

@@ -23,9 +23,9 @@
 //! aggregate (builtin COUNT/SUM/AVG over bare columns or literals, no
 //! uncertain arguments). [`fold_partition`] is the only columnar fold in
 //! the tree: the aggregate operator runs it on its own thread, shard
-//! threads and shard workers run it on theirs, and it touches each
-//! (group, call) slot in row order — so a shard's partial *is* the slice
-//! of local state the coordinator would have built itself.
+//! workers run it on theirs, and it touches each (group, call) slot in
+//! row order — so a shard's partial *is* the slice of local state the
+//! coordinator would have built itself.
 
 use crate::channel::ORow;
 use crate::trace::{SpanId, Tracer};
@@ -201,23 +201,6 @@ pub struct FoldPartial {
     pub groups: Vec<PartialGroup>,
 }
 
-impl FoldPartial {
-    /// Rough serialized size (the in-process analogue of wire bytes): key
-    /// cells at one word each plus 8 bytes per float slot.
-    pub fn approx_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| {
-                g.key.len() * 8
-                    + g.calls
-                        .iter()
-                        .map(|c| 24 + (c.a.len() + c.b.len()) * 8)
-                        .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
 /// Trace context forwarded with a fold dispatch: the coordinator's
 /// journal, the span the fold executes under (the aggregate's operator
 /// span), and the mini-batch index. Pools that offload over a wire ship
@@ -243,10 +226,7 @@ pub struct ShardWorkerStats {
     pub shard: usize,
     /// Fold requests the worker served.
     pub folds: u64,
-    /// Partials the coordinator received from the worker.
-    pub acked: u64,
-    /// Response bytes the worker shipped back: measured frame bytes over
-    /// a wire, [`FoldPartial::approx_bytes`] in process.
+    /// Measured bytes of the response frames the worker shipped back.
     pub response_bytes: u64,
 }
 
@@ -271,15 +251,13 @@ pub trait ShardExec: Send + Sync {
     ) -> Result<Option<Vec<FoldPartial>>, EngineError>;
 
     /// Cumulative bytes of partial state shipped shard→coordinator (the
-    /// paper's "data shipped" axis). In-process pools estimate; TCP pools
-    /// measure actual frame bytes.
+    /// paper's "data shipped" axis): measured response-frame bytes.
     fn bytes_shipped(&self) -> u64;
 
-    /// [`ShardExec::fold`] with an optional trace context. The default
-    /// ignores the context and delegates, so existing pools keep working;
-    /// tracing pools propagate `trace.parent`/`trace.batch` to workers
-    /// and stitch their span summaries into `trace.tracer` as `shard.*`
-    /// instants (never `Begin`/`End` — span-id allocation must stay
+    /// [`ShardExec::fold`] with an optional trace context: the pool
+    /// propagates `trace.parent`/`trace.batch` to its workers and stitches
+    /// their span summaries into `trace.tracer` as `shard.*` instants
+    /// (never `Begin`/`End` — span-id allocation must stay
     /// topology-independent).
     fn fold_traced(
         &self,
@@ -287,16 +265,10 @@ pub trait ShardExec: Send + Sync {
         rows: &[ORow],
         certain: bool,
         trace: Option<&ShardTraceCtx<'_>>,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        let _ = trace;
-        self.fold(frag, rows, certain)
-    }
+    ) -> Result<Option<Vec<FoldPartial>>, EngineError>;
 
-    /// Per-worker counter snapshots, in shard order. Default: none (pools
-    /// that predate the telemetry plane, or have nothing to report).
-    fn worker_stats(&self) -> Vec<ShardWorkerStats> {
-        Vec::new()
-    }
+    /// Per-worker counter snapshots, in shard order.
+    fn worker_stats(&self) -> Vec<ShardWorkerStats>;
 }
 
 /// Fold `rows` on the [`PARTITION_ROWS`] grid: one [`fold_partition`] per
@@ -823,6 +795,5 @@ pub(crate) mod tests {
             })
             .collect();
         assert_eq!(counts, vec![1024.0, 1024.0, 2.0]);
-        assert!(partials[0].approx_bytes() > 0);
     }
 }

@@ -19,9 +19,10 @@
 //! * [`wire`] — the exact `shard.fold` frame codec, and re-exports of the
 //!   one JSON codec (`iolap_core::json`) the line protocol speaks.
 //! * [`tcp`] — the `std::net::TcpListener` front-end speaking [`wire`].
-//! * [`shard`] — scale-out pools (§8): in-process thread shards and TCP
-//!   worker shards executing aggregate fold fragments, merged by the
-//!   coordinator on the partition-stable grid.
+//! * [`shard`] — scale-out (§8): the `serve_shard` worker and the
+//!   `TcpShardPool` that ships aggregate fold fragments to it, merged by
+//!   the coordinator on the partition-stable grid. A driver shards when
+//!   its caller attaches a pool (`IolapDriver::set_shard_exec`).
 //! * [`durable`] — crash-consistent persistence: the session manifest and
 //!   per-session append logs (`iolap-store` segments) that let a restarted
 //!   server resume live sessions and re-deliver byte-identical reports.

@@ -61,10 +61,6 @@ pub struct ServerConfig {
     /// Per-session bound on undelivered reports; a full buffer parks the
     /// session until the client pops (per-client backpressure).
     pub report_buffer: usize,
-    /// Shard-parallel fold workers attached to each submitted driver
-    /// (`0` = no sharding). Sharding changes *where* partitions fold,
-    /// never the merge tree, so reports stay byte-identical (§8).
-    pub shard_workers: usize,
     /// Scheduler trace journal mode ([`TraceMode::Off`] by default —
     /// same zero-cost-when-off gating as the driver's tracer). When on,
     /// every session lifecycle transition and scheduler decision lands a
@@ -89,7 +85,6 @@ impl Default for ServerConfig {
             max_queued: 16,
             memory_ceiling: None,
             report_buffer: 64,
-            shard_workers: 0,
             trace_mode: TraceMode::Off,
             durable_dir: None,
             durable_fsync: false,
@@ -127,13 +122,6 @@ impl ServerConfig {
     /// Set the per-session report-buffer bound.
     pub fn report_buffer(mut self, n: usize) -> Self {
         self.report_buffer = n.max(1);
-        self
-    }
-
-    /// Attach an in-process shard pool of `n` workers to every submitted
-    /// driver (`0` disables sharding).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shard_workers = n;
         self
     }
 
@@ -559,11 +547,7 @@ fn finish(shared: &Shared, st: &mut State, id: u64, end: SessionEnd) {
             id,
             &format!("end={} state={}", end.label(), slot.state.as_str()),
         );
-        // Harvest shard-worker counters before the driver (and its pool)
-        // is dropped; the worker-held-driver path harvests in worker_loop.
-        if let Some(d) = slot.driver.take() {
-            telemetry.observe_workers(&d.shard_worker_stats());
-        }
+        slot.driver = None;
         telemetry.observe_finish(id, &end);
         // Durably mark the session finished ('D' record) so a restart
         // skips it. State lock held → store lock taken: the sanctioned
@@ -598,18 +582,6 @@ fn policy_met(policy: &StopPolicy, report: &BatchReport, slot: &Slot) -> bool {
             .max_relative_ci_halfwidth()
             .is_some_and(|w| w <= *target),
         StopPolicy::Deadline(d) => slot.first_step.map(|s| s.elapsed() >= *d).unwrap_or(false),
-    }
-}
-
-/// Attach the configured shard pool to a driver being admitted. Every
-/// admission path (`submit`, the wire `submit`, `recover`) calls this; the
-/// pool changes where fold partitions execute, never the merge tree, so
-/// the report stream stays byte-identical.
-fn attach_shards(cfg: &ServerConfig, driver: &mut IolapDriver) {
-    if cfg.shard_workers > 0 {
-        driver.set_shard_exec(Arc::new(crate::shard::ThreadShardPool::new(
-            cfg.shard_workers,
-        )));
     }
 }
 
@@ -790,9 +762,6 @@ fn worker_loop(shared: Arc<Shared>) {
         };
         match outcome {
             Outcome::Finish(end) => {
-                // This worker still owns the driver finish() never sees;
-                // harvest its shard-pool counters before dropping it.
-                st.telemetry.observe_workers(&driver.shard_worker_stats());
                 finish(&shared, &mut st, id, end);
             }
             Outcome::Continue => {
@@ -901,12 +870,11 @@ impl Server {
     /// submit factory and replays the session's event log.
     pub fn submit_with_origin(
         &self,
-        mut driver: IolapDriver,
+        driver: IolapDriver,
         spec: SessionSpec,
         origin: Option<&str>,
     ) -> Result<SessionHandle, AdmitError> {
         let cfg = &self.shared.cfg;
-        attach_shards(cfg, &mut driver);
         let mut st = lock(&self.shared);
         if st.shutdown {
             return Err(AdmitError::ShuttingDown);
@@ -1091,7 +1059,6 @@ impl Server {
                     continue;
                 }
             };
-            attach_shards(&self.shared.cfg, &mut driver);
             let records = match crate::durable::read_session_log(durable.dir(), id) {
                 Ok(records) => records,
                 Err(e) => {
@@ -1315,8 +1282,8 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// Clone of the fleet telemetry rollups (sessions, tenants, shards,
-    /// SLO burn counters), taken under the scheduler lock.
+    /// Clone of the fleet telemetry rollups (sessions, tenants, SLO burn
+    /// counters), taken under the scheduler lock.
     pub fn telemetry(&self) -> Telemetry {
         lock(&self.shared).telemetry.clone()
     }

@@ -1,29 +1,26 @@
-//! Shard pools: scale-out execution of aggregate fold fragments (§8).
+//! Shard workers and the coordinator pool: scale-out execution of
+//! aggregate fold fragments (§8).
 //!
-//! Two [`ShardExec`] implementations share one partitioning discipline
-//! (the `iolap_core::shard` grid — see its module docs for the
-//! bit-identity rules) and one block dispatcher: the grid is split into
-//! at most one contiguous *block* of partitions per shard, blocks run
-//! concurrently (inline when there is only one), and the partials come
-//! back concatenated in block order, one per partition.
+//! [`TcpShardPool`] is the one [`ShardExec`] in the tree. Worker processes
+//! run [`serve_shard`] accept loops and the coordinator holds one
+//! persistent connection per worker. The `iolap_core::shard` grid (see its
+//! module docs for the bit-identity rules) is split into at most one
+//! contiguous *block* of partitions per worker; each block ships as one
+//! `shard.fold` frame ([`wire::frag_json`] + [`wire::rows_json`]), blocks
+//! run concurrently (inline when there is only one), and the partial-state
+//! frames that come back ([`wire::partial_json`]) are concatenated in block
+//! order, one partial per partition. "Bytes shipped" is the measured byte
+//! length of those response lines — the paper's data-shipped axis.
 //!
-//! * [`ThreadShardPool`] — in-process shards on scoped threads; "bytes
-//!   shipped" is the estimated serialized size of the partials.
-//! * [`TcpShardPool`] — the same topology over the NDJSON wire: worker
-//!   processes run [`serve_shard`] accept loops, the coordinator holds
-//!   one persistent connection per worker and dispatches
-//!   `shard.fold` frames ([`wire::frag_json`] + [`wire::rows_json`]),
-//!   receiving partial-state frames back ([`wire::partial_json`]), one
-//!   round trip per block. "Bytes shipped" is the measured byte length
-//!   of the partial-state response lines — the paper's data-shipped axis.
-//!
-//! Both pools honor the `Ok(None)` fallback contract: anything that
-//! cannot be shipped (lineage cells in a row, an unencodable literal)
-//! makes `fold` return `Ok(None)` and the coordinator folds the same
-//! grid locally. Shard-side failures (dead connection, malformed frame)
-//! are `Err`: silently degrading to a different merge tree is exactly
-//! what the determinism contract forbids, so the batch fails loudly
-//! instead.
+//! The pool honors the `Ok(None)` fallback contract: anything that cannot
+//! be shipped (lineage cells in a row, an unencodable literal) makes `fold`
+//! return `Ok(None)` and the coordinator folds the same grid locally.
+//! Shard-side failures (dead connection, malformed frame, a reply that does
+//! not answer its block) are `Err`: silently degrading to a different merge
+//! tree is exactly what the determinism contract forbids, so the batch fails
+//! loudly instead. A connection whose exchange failed is never used again,
+//! because a late reply to the failed request would otherwise be read as the
+//! answer to the next one.
 
 use crate::wire::{
     self, fold_request_json, fold_response_json, frag_from_json, frag_json, partial_from_json,
@@ -53,232 +50,6 @@ fn summary_name(name: &str) -> &'static str {
         "shard.worker.fold" => "shard.worker.fold",
         "shard.worker.partials" => "shard.worker.partials",
         _ => "shard.worker.span",
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The block dispatcher both pools share
-// ---------------------------------------------------------------------------
-
-/// A contiguous run of grid partitions dispatched to one shard.
-#[derive(Clone, Copy, Debug)]
-struct Block {
-    /// Shard (and block) index.
-    shard: usize,
-    /// Global index of the block's first partition.
-    base: usize,
-    /// First row of the block.
-    lo: usize,
-    /// One past the block's last row.
-    hi: usize,
-}
-
-/// What one shard returned for its block.
-struct BlockYield {
-    /// One partial per partition of the block, globally indexed.
-    partials: Vec<FoldPartial>,
-    /// Response bytes: measured over a wire, estimated in process.
-    bytes: u64,
-    /// Span summaries to stitch under the fold's trace parent.
-    spans: Vec<SpanSummary>,
-}
-
-/// A block's fold: `None` when the block cannot be folded there and the
-/// coordinator must fold the whole grid locally.
-type BlockFold = Result<Option<BlockYield>, EngineError>;
-
-/// The block dispatcher and the per-shard counters it keeps.
-#[derive(Debug)]
-struct Fanout {
-    stats: Mutex<Vec<ShardWorkerStats>>,
-}
-
-impl Fanout {
-    fn new(shards: usize) -> Fanout {
-        Fanout {
-            stats: Mutex::new(
-                (0..shards)
-                    .map(|shard| ShardWorkerStats {
-                        shard,
-                        ..ShardWorkerStats::default()
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Poison-recovering lock: no block holds it (accounting happens
-    /// after every block has joined), so the counters stay consistent.
-    fn stats(&self) -> MutexGuard<'_, Vec<ShardWorkerStats>> {
-        self.stats.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn bytes_shipped(&self) -> u64 {
-        self.stats().iter().map(|w| w.response_bytes).sum()
-    }
-
-    /// Split the grid over `rows` rows into at most one contiguous block
-    /// per shard and run `run_block` on each — inline when there is one
-    /// block, on scoped threads otherwise. A panicking block becomes an
-    /// `EngineError`. Partials are concatenated in block order, and span
-    /// summaries are stitched under `trace` after every block has joined,
-    /// also in block order, so the journal is deterministic for a fixed
-    /// topology even though the blocks raced. `Ok(None)` when any block
-    /// yields `None`.
-    fn fold(
-        &self,
-        rows: usize,
-        trace: Option<&ShardTraceCtx<'_>>,
-        run_block: impl Fn(Block) -> BlockFold + Sync,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        let bounds: Vec<(usize, usize)> = partition_bounds(rows).collect();
-        if bounds.is_empty() {
-            return Ok(Some(Vec::new()));
-        }
-        let per = bounds.len().div_ceil(self.stats().len());
-        let blocks: Vec<Block> = bounds
-            .chunks(per)
-            .enumerate()
-            .map(|(shard, parts)| Block {
-                shard,
-                base: shard * per,
-                lo: parts[0].0,
-                hi: parts[parts.len() - 1].1,
-            })
-            .collect();
-        let results: Vec<BlockFold> = match blocks.as_slice() {
-            [only] => vec![run_block(*only)],
-            _ => std::thread::scope(|scope| {
-                let run_block = &run_block;
-                let handles: Vec<_> = blocks
-                    .iter()
-                    .map(|&b| scope.spawn(move || run_block(b)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|payload| {
-                            Err(EngineError::Plan(format!(
-                                "shard worker panicked: {}",
-                                iolap_core::faults::panic_message(payload)
-                            )))
-                        })
-                    })
-                    .collect()
-            }),
-        };
-        // Count what every shard served, even when a sibling block makes
-        // the whole fold fall back.
-        for (w, r) in self.stats().iter_mut().zip(&results) {
-            if let Ok(Some(y)) = r {
-                w.folds += 1;
-                w.acked += y.partials.len() as u64;
-                w.response_bytes += y.bytes;
-            }
-        }
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut spans = Vec::new();
-        for r in results {
-            let Some(y) = r? else { return Ok(None) };
-            out.extend(y.partials);
-            spans.extend(y.spans);
-        }
-        if let Some(t) = trace {
-            for (name, n, detail) in spans {
-                t.tracer
-                    .instant(summary_name(&name), t.batch, t.parent, n, detail);
-            }
-        }
-        Ok(Some(out))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// In-process pool
-// ---------------------------------------------------------------------------
-
-/// In-process shard pool: `n` scoped threads, each folding a contiguous
-/// block of grid partitions via `iolap_core::fold_fragment_partition`.
-/// The partials carry global partition indices, so the coordinator's
-/// partition-order merge is identical to any other topology.
-#[derive(Debug)]
-pub struct ThreadShardPool {
-    fanout: Fanout,
-}
-
-impl ThreadShardPool {
-    /// A pool of `shards` workers (clamped to at least 1).
-    pub fn new(shards: usize) -> ThreadShardPool {
-        ThreadShardPool {
-            fanout: Fanout::new(shards.max(1)),
-        }
-    }
-
-    /// Shared body of `fold`/`fold_traced`: each block folds its rows on
-    /// the grid and re-bases the partition indices, as [`serve_shard`]
-    /// does.
-    fn fold_impl(
-        &self,
-        frag: &FoldFragment,
-        rows: &[ORow],
-        certain: bool,
-        trace: Option<&ShardTraceCtx<'_>>,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        let traced = trace.is_some();
-        self.fanout.fold(rows.len(), trace, |b| {
-            let Some(mut partials) = fold_fragment_partition(frag, &rows[b.lo..b.hi], certain)
-            else {
-                return Ok(None);
-            };
-            for p in &mut partials {
-                p.partition += b.base;
-            }
-            let n = partials.len();
-            let spans = if traced {
-                let detail = format!("partitions={n} partials={n}");
-                vec![("shard.worker.fold".to_string(), b.shard as u64, detail)]
-            } else {
-                Vec::new()
-            };
-            Ok(Some(BlockYield {
-                bytes: partials.iter().map(|p| p.approx_bytes() as u64).sum(),
-                partials,
-                spans,
-            }))
-        })
-    }
-}
-
-impl ShardExec for ThreadShardPool {
-    fn shards(&self) -> usize {
-        self.fanout.stats().len()
-    }
-
-    fn fold(
-        &self,
-        frag: &FoldFragment,
-        rows: &[ORow],
-        certain: bool,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        self.fold_impl(frag, rows, certain, None)
-    }
-
-    fn fold_traced(
-        &self,
-        frag: &FoldFragment,
-        rows: &[ORow],
-        certain: bool,
-        trace: Option<&ShardTraceCtx<'_>>,
-    ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        self.fold_impl(frag, rows, certain, trace)
-    }
-
-    fn bytes_shipped(&self) -> u64 {
-        self.fanout.bytes_shipped()
-    }
-
-    fn worker_stats(&self) -> Vec<ShardWorkerStats> {
-        self.fanout.stats().clone()
     }
 }
 
@@ -472,23 +243,65 @@ pub fn serve_shard(listener: TcpListener) {
 /// the shard dead. Bounded blocking: no indefinite `read_line`.
 const SHARD_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A contiguous run of grid partitions dispatched to one shard.
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    /// Shard (and block) index.
+    shard: usize,
+    /// Global index of the block's first partition.
+    base: usize,
+    /// Number of partitions in the block.
+    parts: usize,
+    /// First row of the block.
+    lo: usize,
+    /// One past the block's last row.
+    hi: usize,
+}
+
+/// What one shard returned for its block.
+struct BlockYield {
+    /// One partial per partition of the block, globally indexed.
+    partials: Vec<FoldPartial>,
+    /// Byte length of the response line: the shipped partial state.
+    bytes: u64,
+    /// Span summaries to stitch under the fold's trace parent.
+    spans: Vec<SpanSummary>,
+}
+
+/// A block's fold: `None` when the block cannot be shipped and the
+/// coordinator must fold the whole grid locally.
+type BlockFold = Result<Option<BlockYield>, EngineError>;
+
 struct ShardConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Set by the first failed exchange. After a write error, a read
+    /// timeout or a cut-off line the stream is out of step with its
+    /// requests (a late reply may still arrive), so it is never used again.
+    lost: bool,
 }
 
 impl ShardConn {
-    /// One request/response exchange. Returns the response line (its
-    /// bytes are the shipped partial state).
+    /// One request/response exchange. Returns the response line, newline
+    /// included (its bytes are the shipped partial state).
     fn exchange(&mut self, request: &str) -> Result<String, EngineError> {
+        if self.lost {
+            return Err(EngineError::Plan("shard connection lost".to_string()));
+        }
+        let line = self.round_trip(request);
+        self.lost = line.is_err();
+        line
+    }
+
+    fn round_trip(&mut self, request: &str) -> Result<String, EngineError> {
         let io_err = |e: std::io::Error| EngineError::Plan(format!("shard connection: {e}"));
         let mut frame = String::with_capacity(request.len() + 1);
         frame.push_str(request);
         frame.push('\n');
         self.writer.write_all(frame.as_bytes()).map_err(io_err)?;
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(io_err)?;
-        if n == 0 {
+        self.reader.read_line(&mut line).map_err(io_err)?;
+        if !line.ends_with('\n') {
             return Err(EngineError::Plan("shard connection closed".to_string()));
         }
         Ok(line)
@@ -501,7 +314,8 @@ impl ShardConn {
 /// bytes accumulate into [`ShardExec::bytes_shipped`].
 pub struct TcpShardPool {
     conns: Vec<Mutex<ShardConn>>,
-    fanout: Fanout,
+    /// Per-shard counters, in shard order.
+    stats: Mutex<Vec<ShardWorkerStats>>,
 }
 
 impl TcpShardPool {
@@ -523,21 +337,42 @@ impl TcpShardPool {
             conns.push(Mutex::new(ShardConn {
                 writer: stream,
                 reader,
+                lost: false,
             }));
         }
+        let stats = (0..conns.len())
+            .map(|shard| ShardWorkerStats {
+                shard,
+                ..ShardWorkerStats::default()
+            })
+            .collect();
         Ok(TcpShardPool {
-            fanout: Fanout::new(conns.len()),
             conns,
+            stats: Mutex::new(stats),
         })
+    }
+
+    /// Poison-recovering lock: no block holds it (accounting happens
+    /// after every block has joined), so the counters stay consistent.
+    fn stats(&self) -> MutexGuard<'_, Vec<ShardWorkerStats>> {
+        self.stats.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Lock a shard's connection. A poisoned lock means another dispatch
+    /// thread died mid-exchange; the stream may hold a half-written frame,
+    /// so fail rather than panic (or worse, desync the line protocol).
+    fn conn(&self, shard: usize) -> Result<MutexGuard<'_, ShardConn>, EngineError> {
+        self.conns[shard]
+            .lock()
+            .map_err(|_| EngineError::Plan("shard connection poisoned".to_string()))
     }
 
     /// Round-trip a `shard.ping` on every connection.
     pub fn ping(&self) -> Result<(), EngineError> {
-        for conn in &self.conns {
-            let mut conn = conn
-                .lock()
-                .map_err(|_| EngineError::Plan("shard connection poisoned".to_string()))?;
-            let line = conn.exchange(&JVal::obj(vec![("op", "shard.ping".into())]).render())?;
+        for shard in 0..self.conns.len() {
+            let line = self
+                .conn(shard)?
+                .exchange(&JVal::obj(vec![("op", "shard.ping".into())]).render())?;
             let ok = wire::parse(line.trim())
                 .ok()
                 .and_then(|v| v.get("ok").and_then(JVal::as_bool))
@@ -564,13 +399,7 @@ impl TcpShardPool {
             return Ok(None); // lineage cell → coordinator folds locally
         };
         let request = fold_request_json(block.base, certain, trace, frag_frame, &rows_frame);
-        // A poisoned lock means another dispatch thread died mid-exchange;
-        // the stream may hold a half-written frame, so fail the fold
-        // rather than panic (or worse, desync the line protocol).
-        let line = self.conns[block.shard]
-            .lock()
-            .map_err(|_| EngineError::Plan("shard connection poisoned".to_string()))?
-            .exchange(&request)?;
+        let line = self.conn(block.shard)?.exchange(&request)?;
         let resp = wire::parse(line.trim())
             .map_err(|e| EngineError::Plan(format!("shard response: {e}")))?;
         if resp.get("ok").and_then(JVal::as_bool) != Some(true) {
@@ -590,6 +419,18 @@ impl TcpShardPool {
         let partials: Option<Vec<FoldPartial>> = items.iter().map(partial_from_json).collect();
         let partials =
             partials.ok_or_else(|| EngineError::Plan("malformed shard partial".to_string()))?;
+        // The reply comes from outside the process: it must hold exactly
+        // one partial per partition of this block, in grid order, or the
+        // merge would fold a wrong answer.
+        if !partials
+            .iter()
+            .map(|p| p.partition)
+            .eq(block.base..block.base + block.parts)
+        {
+            return Err(EngineError::Plan(
+                "shard partials do not match the block sent".to_string(),
+            ));
+        }
         let spans: Vec<SpanSummary> = match resp.get("spans") {
             Some(JVal::Arr(spans)) => spans
                 .iter()
@@ -611,27 +452,88 @@ impl TcpShardPool {
         };
         Ok(Some(BlockYield {
             partials,
-            // The response line *is* the shipped partial state.
             bytes: line.len() as u64,
             spans,
         }))
     }
 
-    /// Shared body of `fold`/`fold_traced` over the wire topology.
-    fn fold_impl(
+    /// Split the grid over `rows` into at most one contiguous block per
+    /// shard and fold each on its worker — inline when there is one block,
+    /// on scoped threads otherwise. A panicking block becomes an
+    /// `EngineError`. Partials are concatenated in block order, and span
+    /// summaries are stitched under `trace` after every block has joined,
+    /// also in block order, so the journal is deterministic for a fixed
+    /// topology even though the blocks raced. `Ok(None)` when any block
+    /// yields `None`.
+    fn dispatch(
         &self,
-        frag: &FoldFragment,
+        frag_frame: &str,
         rows: &[ORow],
         certain: bool,
         trace: Option<&ShardTraceCtx<'_>>,
     ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        let Some(frag_frame) = frag_json(frag) else {
-            return Ok(None);
-        };
+        let bounds: Vec<(usize, usize)> = partition_bounds(rows.len()).collect();
+        if bounds.is_empty() {
+            return Ok(Some(Vec::new()));
+        }
+        let per = bounds.len().div_ceil(self.conns.len());
+        let blocks: Vec<Block> = bounds
+            .chunks(per)
+            .enumerate()
+            .map(|(shard, parts)| Block {
+                shard,
+                base: shard * per,
+                parts: parts.len(),
+                lo: parts[0].0,
+                hi: parts[parts.len() - 1].1,
+            })
+            .collect();
         let trace_parent = trace.map(|t| (t.parent, t.batch));
-        self.fanout.fold(rows.len(), trace, |b| {
-            self.fold_remote(b, &frag_frame, &rows[b.lo..b.hi], certain, trace_parent)
-        })
+        let run_block =
+            |b: Block| self.fold_remote(b, frag_frame, &rows[b.lo..b.hi], certain, trace_parent);
+        let results: Vec<BlockFold> = match blocks.as_slice() {
+            [only] => vec![run_block(*only)],
+            _ => std::thread::scope(|scope| {
+                let run_block = &run_block;
+                let handles: Vec<_> = blocks
+                    .iter()
+                    .map(|&b| scope.spawn(move || run_block(b)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|payload| {
+                            Err(EngineError::Plan(format!(
+                                "shard worker panicked: {}",
+                                iolap_core::faults::panic_message(payload)
+                            )))
+                        })
+                    })
+                    .collect()
+            }),
+        };
+        // Count what every shard served, even when a sibling block makes
+        // the whole fold fall back.
+        for (w, r) in self.stats().iter_mut().zip(&results) {
+            if let Ok(Some(y)) = r {
+                w.folds += 1;
+                w.response_bytes += y.bytes;
+            }
+        }
+        let mut out = Vec::with_capacity(bounds.len());
+        let mut spans = Vec::new();
+        for r in results {
+            let Some(y) = r? else { return Ok(None) };
+            out.extend(y.partials);
+            spans.extend(y.spans);
+        }
+        if let Some(t) = trace {
+            for (name, n, detail) in spans {
+                t.tracer
+                    .instant(summary_name(&name), t.batch, t.parent, n, detail);
+            }
+        }
+        Ok(Some(out))
     }
 }
 
@@ -646,7 +548,7 @@ impl ShardExec for TcpShardPool {
         rows: &[ORow],
         certain: bool,
     ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        self.fold_impl(frag, rows, certain, None)
+        self.fold_traced(frag, rows, certain, None)
     }
 
     fn fold_traced(
@@ -656,15 +558,18 @@ impl ShardExec for TcpShardPool {
         certain: bool,
         trace: Option<&ShardTraceCtx<'_>>,
     ) -> Result<Option<Vec<FoldPartial>>, EngineError> {
-        self.fold_impl(frag, rows, certain, trace)
+        let Some(frag_frame) = frag_json(frag) else {
+            return Ok(None);
+        };
+        self.dispatch(&frag_frame, rows, certain, trace)
     }
 
     fn bytes_shipped(&self) -> u64 {
-        self.fanout.bytes_shipped()
+        self.stats().iter().map(|w| w.response_bytes).sum()
     }
 
     fn worker_stats(&self) -> Vec<ShardWorkerStats> {
-        self.fanout.stats().clone()
+        self.stats().clone()
     }
 }
 
@@ -705,71 +610,8 @@ mod tests {
             .collect()
     }
 
-    /// The pool's shipped-bytes total is exactly the sum of its per-shard
-    /// response bytes.
-    fn assert_bytes_are_worker_bytes(pool: &dyn ShardExec) {
-        let workers: u64 = pool.worker_stats().iter().map(|w| w.response_bytes).sum();
-        assert!(pool.bytes_shipped() > 0);
-        assert_eq!(pool.bytes_shipped(), workers);
-    }
-
-    /// Every topology must produce the same partials as the single-process
-    /// grid fold, bit for bit.
-    #[test]
-    fn thread_pool_partials_match_reference_for_all_shard_counts() {
-        let rows = sample_rows(3000); // 3 partitions
-        let reference = fold_fragment_partition(&frag(), &rows, true).unwrap();
-        for shards in [1, 2, 4, 8] {
-            let pool = ThreadShardPool::new(shards);
-            let got = pool.fold(&frag(), &rows, true).unwrap().unwrap();
-            assert_eq!(got, reference, "shards={shards}");
-            assert_bytes_are_worker_bytes(&pool);
-        }
-    }
-
-    /// Traced folds stitch per-worker span summaries under the parent
-    /// span, account per-shard counters, and stay out of canonical
-    /// exports (the `shard.` prefix is the strip marker).
-    #[test]
-    fn thread_pool_traced_fold_stitches_and_counts() {
-        use iolap_core::trace::{canonical_events, Tracer};
-        let rows = sample_rows(3000); // 3 partitions
-        let pool = ThreadShardPool::new(2);
-        let tracer = Tracer::new();
-        let parent = tracer.begin("agg.fold", 0, iolap_core::SpanId::NONE);
-        let ctx = iolap_core::ShardTraceCtx {
-            tracer: &tracer,
-            parent,
-            batch: 0,
-        };
-        let got = pool
-            .fold_traced(&frag(), &rows, true, Some(&ctx))
-            .unwrap()
-            .unwrap();
-        assert!(!got.is_empty());
-        let events = tracer.events();
-        let worker_marks: Vec<_> = events
-            .iter()
-            .filter(|e| e.name == "shard.worker.fold")
-            .collect();
-        assert_eq!(worker_marks.len(), 2, "one summary per shard block");
-        assert!(worker_marks.iter().all(|e| e.parent == parent));
-        assert_eq!(worker_marks[0].detail, "partitions=2 partials=2");
-        // Canonical export strips every shard.* event.
-        assert!(canonical_events(&events)
-            .iter()
-            .all(|e| !e.name.starts_with("shard.")));
-
-        let stats = pool.worker_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats.iter().map(|w| w.folds).sum::<u64>(), 2);
-        assert_eq!(stats.iter().map(|w| w.acked).sum::<u64>(), got.len() as u64);
-        assert!(stats.iter().all(|w| w.response_bytes > 0));
-    }
-
-    #[test]
-    fn thread_pool_falls_back_on_lineage_rows() {
-        let rows = vec![row(
+    fn lineage_row() -> ORow {
+        row(
             vec![
                 Value::Int(0),
                 Value::Ref(iolap_relation::AggRef {
@@ -780,10 +622,235 @@ mod tests {
             ],
             1.0,
             None,
-        )];
-        let pool = ThreadShardPool::new(2);
-        assert_eq!(pool.fold(&frag(), &rows, true).unwrap(), None);
+        )
+    }
+
+    /// A pool of `shards` connections to one loopback [`serve_shard`]
+    /// worker.
+    fn loopback_pool(shards: usize) -> TcpShardPool {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback shard worker");
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || serve_shard(listener));
+        TcpShardPool::connect(&vec![addr; shards]).unwrap()
+    }
+
+    /// A one-connection loopback worker that answers the `i`-th request
+    /// line with `reply(i, line)`.
+    fn fake_worker(reply: impl Fn(usize, &str) -> String + Send + 'static) -> std::net::SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback shard worker");
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let Ok((stream, _)) = listener.accept() else {
+                return;
+            };
+            let mut writer = stream.try_clone().unwrap();
+            for (i, line) in BufReader::new(stream).lines().enumerate() {
+                let Ok(line) = line else { break };
+                let mut out = reply(i, &line);
+                out.push('\n');
+                if writer.write_all(out.as_bytes()).is_err() {
+                    break;
+                }
+            }
+        });
+        addr
+    }
+
+    /// The pool's shipped-bytes total is exactly the sum of its per-shard
+    /// response bytes.
+    fn assert_bytes_are_worker_bytes(pool: &TcpShardPool) {
+        let workers: u64 = pool.worker_stats().iter().map(|w| w.response_bytes).sum();
+        assert!(pool.bytes_shipped() > 0);
+        assert_eq!(pool.bytes_shipped(), workers);
+    }
+
+    /// Every topology must produce the same partials as the single-process
+    /// grid fold, bit for bit.
+    #[test]
+    fn tcp_pool_partials_match_reference_for_all_shard_counts() {
+        let rows = sample_rows(3000); // 3 partitions
+        let reference = fold_fragment_partition(&frag(), &rows, true).unwrap();
+        for shards in [1, 2, 4, 8] {
+            let pool = loopback_pool(shards);
+            assert_eq!(pool.shards(), shards);
+            let got = pool.fold(&frag(), &rows, true).unwrap().unwrap();
+            assert_eq!(got, reference, "shards={shards}");
+            assert_bytes_are_worker_bytes(&pool);
+        }
+    }
+
+    /// Loopback integration across a real socket: a pool's partials equal
+    /// those of the same worker code run in-process, one thread per grid
+    /// partition with no socket between, and both equal the single-process
+    /// grid fold.
+    #[test]
+    fn tcp_pool_matches_thread_pool_over_loopback() {
+        let rows = sample_rows(2500); // 3 partitions
+        let reference = fold_fragment_partition(&frag(), &rows, false).unwrap();
+        let frag_frame = frag_json(&frag()).unwrap();
+        let threaded: Vec<FoldPartial> = std::thread::scope(|scope| {
+            let handles: Vec<_> = partition_bounds(rows.len())
+                .enumerate()
+                .map(|(base, (lo, hi))| {
+                    let request = fold_request_json(
+                        base,
+                        false,
+                        None,
+                        &frag_frame,
+                        &rows_json(&rows[lo..hi]).unwrap(),
+                    );
+                    scope.spawn(move || handle_shard_request(&request))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| {
+                    let resp = wire::parse(&h.join().unwrap()).unwrap();
+                    let Some(JVal::Arr(items)) = resp.get("partials") else {
+                        panic!("no partials in the worker's reply");
+                    };
+                    items
+                        .iter()
+                        .map(|p| partial_from_json(p).unwrap())
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        });
+        assert_eq!(threaded, reference);
+
+        let pool = loopback_pool(2);
+        assert_eq!(pool.shards(), 2);
+        pool.ping().unwrap();
+        let got = pool.fold(&frag(), &rows, false).unwrap().unwrap();
+        assert_eq!(got, threaded);
+        assert_bytes_are_worker_bytes(&pool);
+    }
+
+    /// Traced folds carry the trace context to the worker, stitch its span
+    /// summaries under the parent span in block order, account per-shard
+    /// counters, and stay out of canonical exports (the `shard.` prefix is
+    /// the strip marker). The loopback worker serves each shard connection
+    /// on its own thread of this process.
+    #[test]
+    fn thread_pool_traced_fold_stitches_and_counts() {
+        use iolap_core::trace::canonical_events;
+        let rows = sample_rows(2500); // 3 partitions: blocks of 2 and 1
+        let reference = fold_fragment_partition(&frag(), &rows, false).unwrap();
+        let pool = loopback_pool(2);
+        let tracer = Tracer::new();
+        let parent = tracer.begin("agg.fold", 1, SpanId::NONE);
+        let ctx = ShardTraceCtx {
+            tracer: &tracer,
+            parent,
+            batch: 1,
+        };
+        let traced = pool
+            .fold_traced(&frag(), &rows, false, Some(&ctx))
+            .unwrap()
+            .unwrap();
+        assert_eq!(traced, reference, "tracing must not change the partials");
+        let events = tracer.events();
+        let stitched: Vec<_> = events
+            .iter()
+            .filter(|e| e.name.starts_with("shard.worker."))
+            .collect();
+        assert!(stitched.iter().all(|e| e.parent == parent), "{events:?}");
+        let folds = stitched
+            .iter()
+            .filter(|e| e.name == "shard.worker.fold")
+            .count();
+        assert_eq!(folds, 2, "one summary per shard block");
+        let bases: Vec<&str> = stitched
+            .iter()
+            .filter(|e| e.name == "shard.worker.partials")
+            .map(|e| e.detail.as_str())
+            .collect();
+        assert_eq!(bases, ["base=0", "base=2"], "stitched in block order");
+        assert!(canonical_events(&events)
+            .iter()
+            .all(|e| !e.name.starts_with("shard.")));
+
+        let stats = pool.worker_stats();
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().all(|w| w.folds == 1), "{stats:?}");
+        assert!(stats.iter().all(|w| w.response_bytes > 0));
+        assert_bytes_are_worker_bytes(&pool);
+    }
+
+    /// Lineage rows cannot cross the wire: fallback, not error, and
+    /// nothing is shipped.
+    #[test]
+    fn tcp_pool_falls_back_on_lineage_rows() {
+        let pool = loopback_pool(2);
+        assert_eq!(pool.fold(&frag(), &[lineage_row()], true).unwrap(), None);
         assert_eq!(pool.bytes_shipped(), 0);
+    }
+
+    /// A fold whose read timed out leaves the worker's reply in flight. The
+    /// next fold on that connection must fail, not take the late reply to
+    /// the old request as its own answer.
+    #[test]
+    fn tcp_pool_drops_a_connection_after_a_failed_exchange() {
+        // The worker holds its first reply until the coordinator has given
+        // up on it, then sends it late.
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let addr = fake_worker(move |i, line| {
+            if i == 0 {
+                let _ = released.recv();
+            }
+            handle_shard_request(line)
+        });
+        let pool = TcpShardPool::connect(&[addr]).unwrap();
+        pool.conn(0)
+            .unwrap()
+            .reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        assert!(pool.fold(&frag(), &sample_rows(10), true).is_err());
+        release.send(()).unwrap();
+        let err = pool
+            .fold(&frag(), &sample_rows(20), true)
+            .expect_err("a connection that timed out must not be reused");
+        assert!(err.to_string().contains("shard connection lost"), "{err}");
+        assert_eq!(pool.bytes_shipped(), 0);
+    }
+
+    /// A worker's reply must hold exactly one partial per partition of the
+    /// block it was sent, indexed `base..base + n` in order.
+    #[test]
+    fn tcp_pool_rejects_replies_that_do_not_answer_the_block() {
+        type Tamper = fn(&mut Vec<FoldPartial>);
+        let honest: Tamper = |_| {};
+        let extra_partial: Tamper = |ps| ps.push(ps[ps.len() - 1].clone());
+        let shifted_base: Tamper = |ps| ps.iter_mut().for_each(|p| p.partition += 1);
+        let rows = sample_rows(2500); // 3 partitions
+        let reference = fold_fragment_partition(&frag(), &rows, true).unwrap();
+        for (name, tamper) in [
+            ("honest", honest),
+            ("extra partial", extra_partial),
+            ("shifted base", shifted_base),
+        ] {
+            let addr = fake_worker(move |_, line| {
+                let resp = wire::parse(&handle_shard_request(line)).unwrap();
+                let Some(JVal::Arr(items)) = resp.get("partials") else {
+                    panic!("no partials in the worker's reply");
+                };
+                let mut partials: Vec<FoldPartial> = items
+                    .iter()
+                    .map(|p| partial_from_json(p).unwrap())
+                    .collect();
+                tamper(&mut partials);
+                fold_response_json(&partials, None).unwrap()
+            });
+            let pool = TcpShardPool::connect(&[addr]).unwrap();
+            let got = pool.fold(&frag(), &rows, true);
+            if name == "honest" {
+                assert_eq!(got.unwrap(), Some(reference.clone()));
+            } else {
+                assert!(got.is_err(), "{name}: {got:?}");
+            }
+        }
     }
 
     #[test]
@@ -904,76 +971,5 @@ mod tests {
             .err()
             .expect("an empty pool must be refused");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    }
-
-    /// Loopback integration: a real worker process boundary. Skipped when
-    /// the sandbox denies loopback sockets (mirrors tcp.rs tests).
-    #[test]
-    fn tcp_pool_matches_thread_pool_over_loopback() {
-        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
-            eprintln!("skipping: loopback bind denied");
-            return;
-        };
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || serve_shard(listener));
-
-        let rows = sample_rows(2500); // 3 partitions
-        let reference = fold_fragment_partition(&frag(), &rows, false).unwrap();
-
-        let pool = TcpShardPool::connect(&[addr, addr]).unwrap();
-        assert_eq!(pool.shards(), 2);
-        pool.ping().unwrap();
-        let got = pool.fold(&frag(), &rows, false).unwrap().unwrap();
-        assert_eq!(got, reference);
-        assert_bytes_are_worker_bytes(&pool);
-
-        // Traced round-trip: the worker journal's summaries come back on
-        // the wire and are stitched under the coordinator's parent span.
-        let tracer = iolap_core::Tracer::new();
-        let parent = tracer.begin("agg.fold", 1, iolap_core::SpanId::NONE);
-        let ctx = iolap_core::ShardTraceCtx {
-            tracer: &tracer,
-            parent,
-            batch: 1,
-        };
-        let traced = pool
-            .fold_traced(&frag(), &rows, false, Some(&ctx))
-            .unwrap()
-            .unwrap();
-        assert_eq!(traced, reference, "tracing must not change the partials");
-        let events = tracer.events();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.name == "shard.worker.fold" && e.parent == parent),
-            "stitched worker span missing: {events:?}"
-        );
-        assert!(events
-            .iter()
-            .any(|e| e.name == "shard.worker.partials" && e.detail.starts_with("base=")));
-        let stats = pool.worker_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats.iter().map(|w| w.folds).sum::<u64>(), 4);
-        assert_eq!(
-            stats.iter().map(|w| w.acked).sum::<u64>(),
-            2 * reference.len() as u64
-        );
-        assert!(stats.iter().all(|w| w.response_bytes > 0));
-        assert_bytes_are_worker_bytes(&pool);
-
-        // Lineage rows cannot cross the wire: fallback, not error.
-        let tainted = vec![row(
-            vec![
-                Value::Int(0),
-                Value::Ref(iolap_relation::AggRef {
-                    agg: 0,
-                    column: 0,
-                    key: Arc::from(Vec::new()),
-                }),
-            ],
-            1.0,
-            None,
-        )];
-        assert_eq!(pool.fold(&frag(), &tainted, true).unwrap(), None);
     }
 }

@@ -140,7 +140,7 @@ fn summary_json(s: &SessionSummary) -> JVal {
 }
 
 /// The `metrics` op's structured twin of the text exposition: per-session
-/// convergence/SLO state, tenant list, burn counters, shard counters.
+/// convergence/SLO state, tenant list, burn counters.
 fn telemetry_summary_json(t: &crate::telemetry::Telemetry) -> JVal {
     let sessions = t
         .sessions()
@@ -158,18 +158,6 @@ fn telemetry_summary_json(t: &crate::telemetry::Telemetry) -> JVal {
         })
         .collect();
     let slo = t.slo();
-    let shards = t
-        .shards()
-        .values()
-        .map(|w| {
-            JVal::obj(vec![
-                ("shard", w.shard.into()),
-                ("folds", w.folds.into()),
-                ("acked", w.acked.into()),
-                ("response_bytes", w.response_bytes.into()),
-            ])
-        })
-        .collect();
     JVal::obj(vec![
         ("sessions", JVal::Arr(sessions)),
         (
@@ -188,7 +176,6 @@ fn telemetry_summary_json(t: &crate::telemetry::Telemetry) -> JVal {
                 ("deadline_overrun", slo.deadline_overrun.into()),
             ]),
         ),
-        ("shards", JVal::Arr(shards)),
     ])
 }
 

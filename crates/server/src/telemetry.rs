@@ -1,4 +1,4 @@
-//! Fleet telemetry plane: per-session / per-tenant / per-shard rollups,
+//! Fleet telemetry plane: per-session / per-tenant rollups,
 //! CI-convergence SLO tracking, and a zero-dependency Prometheus-style
 //! text exposition.
 //!
@@ -21,7 +21,7 @@
 
 use crate::policy::StopPolicy;
 use crate::session::SessionEnd;
-use iolap_core::{Metrics, ShardWorkerStats};
+use iolap_core::Metrics;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -141,7 +141,6 @@ pub struct Telemetry {
     fleet: Metrics,
     tenants: BTreeMap<String, Metrics>,
     sessions: BTreeMap<u64, SessionSlo>,
-    shards: BTreeMap<usize, ShardWorkerStats>,
     slo: SloCounters,
     durable: DurableCounters,
 }
@@ -238,20 +237,6 @@ impl Telemetry {
         }
     }
 
-    /// Accumulate per-worker shard counters harvested from a finishing
-    /// driver's pool (pointwise-additive by shard index).
-    pub fn observe_workers(&mut self, stats: &[ShardWorkerStats]) {
-        for w in stats {
-            let slot = self.shards.entry(w.shard).or_insert(ShardWorkerStats {
-                shard: w.shard,
-                ..ShardWorkerStats::default()
-            });
-            slot.folds = slot.folds.saturating_add(w.folds);
-            slot.acked = slot.acked.saturating_add(w.acked);
-            slot.response_bytes = slot.response_bytes.saturating_add(w.response_bytes);
-        }
-    }
-
     /// Fleet-wide metric rollup (every delivered batch merged).
     pub fn fleet(&self) -> &Metrics {
         &self.fleet
@@ -265,11 +250,6 @@ impl Telemetry {
     /// Per-session SLO/convergence state.
     pub fn sessions(&self) -> &BTreeMap<u64, SessionSlo> {
         &self.sessions
-    }
-
-    /// Accumulated per-shard worker counters.
-    pub fn shards(&self) -> &BTreeMap<usize, ShardWorkerStats> {
-        &self.shards
     }
 
     /// Stop-policy burn counters.
@@ -365,8 +345,8 @@ fn render_metric_family(
 /// deterministic ordering: fixed section order, `BTreeMap` iteration
 /// within). `canonical` drops every wall-clock and shard-topology family
 /// so the output byte-compares across repeated fixed-seed runs and across
-/// shard counts; the full form adds quantiles, memory, and shard counters
-/// for human/scrape consumption.
+/// shard counts; the full form adds quantiles and memory for human/scrape
+/// consumption.
 pub fn render_exposition(
     t: &Telemetry,
     stats: &crate::scheduler::ServerStats,
@@ -487,27 +467,6 @@ pub fn render_exposition(
         t.fleet(),
         canonical,
     );
-
-    if !canonical {
-        out.push_str("# TYPE iolap_shard counter\n");
-        for (shard, w) in t.shards() {
-            let _ = writeln!(
-                out,
-                "iolap_shard_folds_total{{shard=\"{shard}\"}} {}",
-                w.folds
-            );
-            let _ = writeln!(
-                out,
-                "iolap_shard_acked_total{{shard=\"{shard}\"}} {}",
-                w.acked
-            );
-            let _ = writeln!(
-                out,
-                "iolap_shard_response_bytes_total{{shard=\"{shard}\"}} {}",
-                w.response_bytes
-            );
-        }
-    }
     out
 }
 
@@ -599,22 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_accumulate_by_shard() {
-        let mut t = Telemetry::default();
-        let w = |shard, folds| ShardWorkerStats {
-            shard,
-            folds,
-            acked: 1,
-            response_bytes: 10,
-        };
-        t.observe_workers(&[w(0, 2), w(1, 3)]);
-        t.observe_workers(&[w(0, 5)]);
-        assert_eq!(t.shards()[&0].folds, 7);
-        assert_eq!(t.shards()[&0].response_bytes, 20);
-        assert_eq!(t.shards()[&1].folds, 3);
-    }
-
-    #[test]
     fn exposition_is_deterministic_and_canonical_strips_clocks() {
         let mut t = Telemetry::default();
         t.observe_submit(0, "he\"said\\", 4, &StopPolicy::complete());
@@ -623,12 +566,6 @@ mod tests {
         m.record_ns("agg.fold_ns", 12345);
         m.add("shard.partials", 2);
         t.observe_batch(0, 1, Some(0.25), &m);
-        t.observe_workers(&[ShardWorkerStats {
-            shard: 0,
-            folds: 1,
-            acked: 0,
-            response_bytes: 8,
-        }]);
         let stats = crate::scheduler::ServerStats {
             admitted: 1,
             ..Default::default()
@@ -640,7 +577,7 @@ mod tests {
         assert!(!canon.contains("_ns"));
         assert!(!canon.contains("shard"));
         assert!(full.contains("agg.fold_ns"));
-        assert!(full.contains("iolap_shard_folds_total{shard=\"0\"} 1"));
+        assert!(full.contains("shard.partials"));
         // Hostile tenant labels are escaped, never raw.
         assert!(canon.contains("tenant=\"he\\\"said\\\\\""));
         assert!(canon.contains("iolap_session_rel_ci"));

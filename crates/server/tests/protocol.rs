@@ -1,9 +1,9 @@
-//! Line-protocol tests: the transport-free dispatcher round-trip, and a
-//! real TCP socket session (skipped gracefully where the sandbox denies
-//! loopback binds).
+//! Line-protocol tests: the transport-free dispatcher round-trip, and
+//! real TCP socket sessions over loopback.
 
 use iolap_core::{IolapConfig, IolapDriver};
 use iolap_engine::plan_sql;
+use iolap_server::shard::{serve_shard, TcpShardPool};
 use iolap_server::tcp::{handle_request, serve, SubmitFactory};
 use iolap_server::wire::{parse, JVal};
 use iolap_server::{Server, ServerConfig};
@@ -13,7 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Factory over a pinned Conviva catalog: requests name the query id.
-fn factory_sized(rows: usize, batches: usize) -> SubmitFactory {
+/// Every driver it builds folds on `pool` when one is given.
+fn factory_sized(rows: usize, batches: usize, pool: Option<Arc<TcpShardPool>>) -> SubmitFactory {
     let catalog = iolap_workloads::conviva_catalog(rows, 17);
     let registry = iolap_workloads::conviva_registry();
     let queries = iolap_workloads::conviva_queries();
@@ -29,14 +30,26 @@ fn factory_sized(rows: usize, batches: usize) -> SubmitFactory {
         let pq = plan_sql(q.sql, &catalog, &registry).map_err(|e| e.to_string())?;
         let mut cfg = IolapConfig::with_batches(batches).trials(10).seed(17);
         cfg.partition_mode = iolap_relation::PartitionMode::RowShuffle;
-        let driver = IolapDriver::from_plan(&pq, &catalog, q.stream_table, cfg)
+        let mut driver = IolapDriver::from_plan(&pq, &catalog, q.stream_table, cfg)
             .map_err(|e| e.to_string())?;
+        if let Some(pool) = &pool {
+            driver.set_shard_exec(pool.clone());
+        }
         Ok((driver, iolap_server::tcp::spec_from_request(req)))
     })
 }
 
 fn factory() -> SubmitFactory {
-    factory_sized(300, 4)
+    factory_sized(300, 4, None)
+}
+
+/// A pool of `shards` connections to one loopback `serve_shard` worker.
+fn loopback_pool(shards: usize) -> Arc<TcpShardPool> {
+    let listener =
+        std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback shard worker");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || serve_shard(listener));
+    Arc::new(TcpShardPool::connect(&vec![addr; shards]).unwrap())
 }
 
 fn field_u64(resp: &JVal, key: &str) -> Option<u64> {
@@ -146,7 +159,7 @@ fn dispatcher_reports_queue_full_as_protocol_error() {
     let server = Server::new(ServerConfig::with_workers(1).max_live(1).max_queued(1));
     // Each submit plans its query inline, so the first session must outlast
     // two plan-and-admit round trips: size the workload well past that.
-    let f = factory_sized(4000, 24);
+    let f = factory_sized(4000, 24, None);
     let mut sessions = BTreeMap::new();
     let mut kinds = Vec::new();
     for i in 0..3 {
@@ -181,13 +194,7 @@ fn dispatcher_reports_queue_full_as_protocol_error() {
 
 #[test]
 fn tcp_socket_round_trip() {
-    // Loopback bind can be denied in sandboxed environments; skip (rather
-    // than fail) when it is — the dispatcher tests above cover the
-    // protocol itself.
-    let Ok(listener) = std::net::TcpListener::bind("127.0.0.1:0") else {
-        eprintln!("skipping tcp_socket_round_trip: cannot bind loopback");
-        return;
-    };
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let server = Arc::new(Server::new(ServerConfig::with_workers(2)));
     let f = factory();
@@ -391,13 +398,15 @@ fn spec_from_request_clamps_batch_policy() {
     assert_eq!(s.policy, StopPolicy::Batches(usize::MAX));
 }
 
-/// The tentpole determinism claim at the protocol level: a sharded server
-/// publishes byte-identical report lines to an unsharded one.
+/// The tentpole determinism claim at the protocol level: a server whose
+/// factory attaches a shard pool publishes byte-identical report lines to
+/// an unsharded one.
 #[test]
 fn sharded_server_reports_are_byte_identical() {
     let drain = |shards: usize| -> Vec<String> {
-        let server = Server::new(ServerConfig::with_workers(1).shards(shards));
-        let f = factory_sized(2600, 3);
+        let server = Server::new(ServerConfig::with_workers(1));
+        let pool = (shards > 0).then(|| loopback_pool(shards));
+        let f = factory_sized(2600, 3, pool);
         let mut sessions = BTreeMap::new();
         let resp = handle_request(
             &server,
@@ -686,7 +695,7 @@ fn append_mid_run_extends_the_session_exactly() {
     let batches = 3usize;
     let catalog = iolap_workloads::conviva_catalog(rows, 17);
     let registry = iolap_workloads::conviva_registry();
-    let f = factory_sized(rows, batches);
+    let f = factory_sized(rows, batches, None);
     for q in iolap_workloads::conviva_queries() {
         append_mid_run_matches_oracle(&q, &catalog, &registry, &f, batches);
     }
@@ -878,19 +887,14 @@ fn plain_client_median_rtt(addr: std::net::SocketAddr, request: &str) -> Duratio
 /// loops must answer in one segment.
 #[test]
 fn plain_client_round_trips_do_not_stall() {
-    let (Ok(server_listener), Ok(shard_listener)) = (
-        std::net::TcpListener::bind("127.0.0.1:0"),
-        std::net::TcpListener::bind("127.0.0.1:0"),
-    ) else {
-        eprintln!("skipping plain_client_round_trips_do_not_stall: cannot bind loopback");
-        return;
-    };
+    let server_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let shard_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let server_addr = server_listener.local_addr().unwrap();
     let shard_addr = shard_listener.local_addr().unwrap();
     let server = Arc::new(Server::new(ServerConfig::with_workers(1)));
     let f = factory();
     std::thread::spawn(move || serve(server_listener, server, f));
-    std::thread::spawn(move || iolap_server::shard::serve_shard(shard_listener));
+    std::thread::spawn(move || serve_shard(shard_listener));
 
     for (addr, request) in [
         (server_addr, r#"{"op":"stats"}"#),

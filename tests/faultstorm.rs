@@ -3,14 +3,16 @@
 //! fault kind at varying batch points and checkpoint intervals across
 //! several seeds, and assert the driver still lands on the *exact* offline
 //! answer at the final mini-batch (Theorem 1 anchor at m = 1). Q17 and C8
-//! also run with fold dispatch offloaded to a two-shard pool.
+//! also run with fold dispatch offloaded to a two-shard loopback pool.
 
-use iolap_core::{FaultKind, FaultPlan, IolapConfig, IolapDriver};
+use iolap_core::{FaultKind, FaultPlan, IolapConfig, IolapDriver, ShardExec};
 use iolap_engine::{execute, plan_sql, FunctionRegistry};
 use iolap_relation::{Catalog, PartitionMode};
+use iolap_server::shard::{serve_shard, TcpShardPool};
 use iolap_workloads::{
     conviva_catalog, conviva_queries, conviva_registry, tpch_catalog, tpch_queries, QuerySpec,
 };
+use std::sync::Arc;
 
 const BATCHES: usize = 6;
 const KINDS: [FaultKind; 6] = [
@@ -35,23 +37,32 @@ fn config(seed: u64, interval: usize, plan: FaultPlan) -> IolapConfig {
     c
 }
 
+/// A pool of `shards` connections to one loopback `serve_shard` worker.
+fn loopback_pool(shards: usize) -> Arc<TcpShardPool> {
+    let listener =
+        std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback shard worker");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || serve_shard(listener));
+    Arc::new(TcpShardPool::connect(&vec![addr; shards]).unwrap())
+}
+
 /// Run `q` under `cfg` to completion and assert the final answer equals the
-/// offline exact execution of the same plan. `shards > 0` attaches an
-/// in-process shard pool, so the storm also exercises the scale-out fold
-/// path (dispatch, partial ship, partition-order merge) under faults.
+/// offline exact execution of the same plan. A `pool` makes the storm
+/// also exercise the scale-out fold path (dispatch, partial ship,
+/// partition-order merge) under faults.
 fn storm_one(
     q: &QuerySpec,
     cat: &Catalog,
     registry: &FunctionRegistry,
     cfg: IolapConfig,
-    shards: usize,
+    pool: Option<&Arc<TcpShardPool>>,
 ) {
     let label = format!(
         "{} seed={} interval={} shards={} faults={:?}",
         q.id,
         cfg.seed,
         cfg.checkpoint_interval,
-        shards,
+        pool.map_or(0, |p| p.shards()),
         cfg.fault_plan.as_ref().map(|p| p
             .faults
             .iter()
@@ -61,10 +72,8 @@ fn storm_one(
     let pq = plan_sql(q.sql, cat, registry).unwrap_or_else(|e| panic!("{label}: plan error {e}"));
     let mut driver = IolapDriver::from_plan(&pq, cat, q.stream_table, cfg)
         .unwrap_or_else(|e| panic!("{label}: driver error {e}"));
-    if shards > 0 {
-        driver.set_shard_exec(std::sync::Arc::new(
-            iolap_server::shard::ThreadShardPool::new(shards),
-        ));
+    if let Some(pool) = pool {
+        driver.set_shard_exec(pool.clone());
     }
     let reports = driver
         .run_to_completion()
@@ -78,6 +87,7 @@ fn storm_one(
 }
 
 fn storm(q: &QuerySpec, cat: &Catalog, registry: &FunctionRegistry, shards: usize) {
+    let pool = (shards > 0).then(|| loopback_pool(shards));
     // Injected worker/deref panics are caught and recovered, but the
     // default hook would still print their backtraces into the test log.
     let prev = std::panic::take_hook();
@@ -87,7 +97,13 @@ fn storm(q: &QuerySpec, cat: &Catalog, registry: &FunctionRegistry, shards: usiz
             for kind in &KINDS {
                 for (batch, interval) in [(2usize, 1usize), (BATCHES - 2, 2)] {
                     let plan = FaultPlan::new(seed).with(batch, kind.clone());
-                    storm_one(q, cat, registry, config(seed, interval, plan), shards);
+                    storm_one(
+                        q,
+                        cat,
+                        registry,
+                        config(seed, interval, plan),
+                        pool.as_ref(),
+                    );
                 }
             }
             // Compound storm: several faults armed in one run.
@@ -102,7 +118,7 @@ fn storm(q: &QuerySpec, cat: &Catalog, registry: &FunctionRegistry, shards: usiz
                 )
                 .with(3, FaultKind::WorkerPanic)
                 .with(4, FaultKind::PerturbRanges { epsilon: 0.2 });
-            storm_one(q, cat, registry, config(seed, 1, plan), shards);
+            storm_one(q, cat, registry, config(seed, 1, plan), pool.as_ref());
         }
     }));
     std::panic::set_hook(prev);
