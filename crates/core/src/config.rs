@@ -29,19 +29,10 @@ pub struct IolapConfig {
     /// recomputing saved tuples from their source rows).
     pub opt_lazy_lineage: bool,
     /// Checkpoint operator state every `n` batches for failure recovery
-    /// (§5.1). `1` = every batch.
+    /// (§5.1). `1` = every batch. How many checkpoints are retained and
+    /// how many rollbacks one batch may take are fixed by the recovery
+    /// policy (four each), not configured.
     pub checkpoint_interval: usize,
-    /// Cap on cascading recovery passes within one mini-batch (a failure
-    /// detected during a recovery replay re-enters recovery). Exceeding it
-    /// degrades gracefully: the offending attributes are permanently barred
-    /// from pruning and the whole retained prefix is recomputed HDA-style
-    /// (metric `recovery.degraded`).
-    pub max_recovery_depth: usize,
-    /// Cap on retained checkpoints (≥ 2 is enforced at use). Retention
-    /// first prunes checkpoints older than the oldest feasible recovery
-    /// point, then keeps the feasibility anchor plus the most recent saves;
-    /// memory stays O(1) in batch count.
-    pub max_checkpoints: usize,
     /// Deterministic fault-injection schedule (§5.1 hardening harness).
     /// `None` — the production default — compiles every injection hook down
     /// to a skipped pointer check.
@@ -65,8 +56,6 @@ impl Default for IolapConfig {
             opt_tuple_partition: true,
             opt_lazy_lineage: true,
             checkpoint_interval: 1,
-            max_recovery_depth: 4,
-            max_checkpoints: 4,
             fault_plan: None,
             trace_mode: TraceMode::Off,
         }
@@ -108,18 +97,6 @@ impl IolapConfig {
         self
     }
 
-    /// Builder-style setter for the cascading-recovery depth cap.
-    pub fn max_recovery_depth(mut self, depth: usize) -> Self {
-        self.max_recovery_depth = depth;
-        self
-    }
-
-    /// Builder-style setter for the checkpoint retention cap.
-    pub fn max_checkpoints(mut self, n: usize) -> Self {
-        self.max_checkpoints = n;
-        self
-    }
-
     /// Builder-style setter arming a fault-injection schedule.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -154,20 +131,14 @@ mod tests {
         assert!(c.opt_tuple_partition && c.opt_lazy_lineage);
         assert!(c.fault_plan.is_none(), "faults must be off by default");
         assert_eq!(c.trace_mode, TraceMode::Off, "tracing off by default");
-        assert!(c.max_recovery_depth >= 1);
-        assert!(c.max_checkpoints >= 2);
     }
 
     #[test]
     fn fault_plan_builder_arms_injection() {
         use crate::faults::{FaultKind, FaultPlan};
         let c = IolapConfig::with_batches(4)
-            .fault_plan(FaultPlan::new(7).with(1, FaultKind::DropCheckpoint))
-            .max_recovery_depth(2)
-            .max_checkpoints(3);
+            .fault_plan(FaultPlan::new(7).with(1, FaultKind::DropCheckpoint));
         assert_eq!(c.fault_plan.as_ref().unwrap().faults.len(), 1);
-        assert_eq!(c.max_recovery_depth, 2);
-        assert_eq!(c.max_checkpoints, 3);
     }
 
     #[test]

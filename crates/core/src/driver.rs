@@ -13,12 +13,15 @@
 //! the newest checkpoint ≤ `j` and replays batches `j+1..=i` as one combined
 //! delta (the replayed observation is then covered by `R_j` by choice of
 //! `j`, so the replay passes the integrity check — Theorem 1's recovery
-//! argument).
+//! argument). An operator error and a panicking publish take the same
+//! rollback path, restoring the checkpoint before batch `i`; the policy
+//! behind it lives in [`crate::recovery`].
 
 use crate::config::IolapConfig;
 use crate::faults::FaultInjector;
 use crate::metrics::{Metrics, Span};
 use crate::ops::{BatchCtx, BatchStats, OnlineOp, WeightMemo};
+use crate::recovery::{Recovery, MAX_RECOVERY_DEPTH};
 use crate::registry::AggRegistry;
 use crate::rewriter::{rewrite, OnlineQuery, RewriteError};
 use crate::sink::{QueryResult, Sink};
@@ -26,10 +29,8 @@ use crate::trace::{self_time_by_name, SpanId, Tracer, NO_BATCH};
 use iolap_bootstrap::RangeOutcome;
 use iolap_engine::{plan_sql, EngineError, FunctionRegistry, PlanError, PlannedQuery};
 use iolap_relation::{AggRef, BatchedRelation, Catalog, Relation, Row};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -124,12 +125,6 @@ pub struct BatchReport {
     pub self_time_ns: Vec<(&'static str, u64)>,
 }
 
-/// Range-integrity failures an aggregate cell may cause before it is
-/// permanently barred from pruning. The first failure buys a replay and a
-/// fresh range (a one-off tail event on stationary data should not cost
-/// pruning forever); a second failure marks the range genuinely unstable.
-const MAX_REF_FAILURES: usize = 2;
-
 /// One durable-log event re-applied during a session resume, in log order.
 ///
 /// The durable layer (`iolap-server`/`iolap-store`) records what the
@@ -173,44 +168,28 @@ pub struct ResumeOutcome {
     pub stale_digests: usize,
 }
 
-#[derive(Clone)]
-struct Checkpoint {
-    batch: usize, // state is AFTER this batch (usize::MAX = initial)
-    root: OnlineOp,
-    sink: Sink,
-    registry: AggRegistry,
-    /// Integrity digest recorded at save time; a mismatch on restore marks
-    /// the checkpoint unusable (bit rot, torn write — or an injected
-    /// `CorruptCheckpoint` fault) and recovery falls back to an older one.
-    digest: u64,
-    /// Approximate state bytes cloned into this checkpoint (retention
-    /// accounting; `0` for the pristine initial checkpoint).
-    bytes: usize,
+/// One `run_batch` call's accumulators, threaded through its passes and
+/// rollbacks.
+struct BatchRun {
+    /// 0-based batch index.
+    i: usize,
+    /// The batch's trace span (`SpanId::NONE` when tracing is off).
+    span: SpanId,
+    stats: BatchStats,
+    metrics: Metrics,
+    /// Rollbacks taken so far, over every failure cause.
+    depth: usize,
 }
 
-impl Checkpoint {
-    /// Structural fingerprint over content-derived sizes. Not a
-    /// cryptographic checksum — cheap enough to verify on every restore,
-    /// strong enough to catch the simulated corruption model (a damaged
-    /// digest) and gross clone/restore bugs.
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint_with(self.root.state_bytes())
-    }
-
-    /// [`Self::fingerprint`] given `root.state_bytes()`, which a save has
-    /// already measured on the live tree it cloned (one walk over operator
-    /// state a batch instead of three).
-    fn fingerprint_with(&self, (join_bytes, other_bytes): (usize, usize)) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.batch.hash(&mut h);
-        join_bytes.hash(&mut h);
-        other_bytes.hash(&mut h);
-        self.registry.len().hash(&mut h);
-        self.registry.published_bytes().hash(&mut h);
-        self.registry.approx_bytes().hash(&mut h);
-        self.sink.certain_len().hash(&mut h);
-        h.finish()
-    }
+/// Why a processing pass of batch `i` must be rolled back.
+enum Rollback {
+    /// An operator or publish error (a contained panic included): replay
+    /// batch `i` itself.
+    Error(DriverError),
+    /// A failed variation range, as `(target, outcomes)`: replay from
+    /// batch `target` on; `outcomes` counts the pass's range outcomes
+    /// (trace detail).
+    Range(usize, usize),
 }
 
 /// The iOLAP incremental query driver.
@@ -223,19 +202,10 @@ pub struct IolapDriver {
     sink: Sink,
     registry: AggRegistry,
     next_batch: usize,
-    checkpoints: Vec<Checkpoint>,
+    /// Checkpoints, failure counts and the re-admission policy.
+    recovery: Recovery,
     total_failures: usize,
     last_published: usize,
-    /// Quarantine set: survives the checkpoint restore (a restored
-    /// registry is re-seeded from it) so the replay cannot reuse the
-    /// violated range. First-time offenders are re-admitted once the
-    /// replay completes and their tracker holds a fresh range (§5.1);
-    /// repeat offenders (see [`MAX_REF_FAILURES`]) stay quarantined so
-    /// adversarial drift cannot force a replay per batch.
-    quarantined: std::collections::HashSet<iolap_relation::AggRef>,
-    /// Range-integrity failures per aggregate cell, driving the
-    /// re-admission policy above.
-    failure_counts: std::collections::HashMap<iolap_relation::AggRef, usize>,
     /// Metrics accumulated across every processed batch (monotone, even
     /// across checkpoint restores — replay work adds, never resets).
     cumulative_metrics: Metrics,
@@ -261,8 +231,8 @@ pub struct IolapDriver {
     shards: Option<Arc<dyn crate::shard::ShardExec>>,
     /// Bootstrap weights drawn so far, by stream-row ordinal, so that a
     /// second scan and every replay reuse them. A cache, not state: it is
-    /// neither checkpointed nor restored, and [`Self::prune_checkpoints`]
-    /// drops the rows no feasible recovery can replay.
+    /// neither checkpointed nor restored, and checkpoint retention drops
+    /// the rows no feasible recovery can replay.
     weight_memo: WeightMemo,
 }
 
@@ -331,29 +301,18 @@ impl IolapDriver {
         if let Some(f) = &faults {
             registry.set_fault_injector(f.clone());
         }
-        let mut initial = Checkpoint {
-            batch: usize::MAX,
-            root: root.clone(),
-            sink: sink.clone(),
-            registry: registry.clone(),
-            digest: 0,
-            bytes: 0,
-        };
-        initial.digest = initial.fingerprint();
         Ok(IolapDriver {
             config,
             catalog: catalog.clone(),
             stream_table,
             batches,
+            recovery: Recovery::new((&root, &sink, &registry)),
             root,
             sink,
             registry,
             next_batch: 0,
-            checkpoints: vec![initial],
             total_failures: 0,
             last_published: 0,
-            quarantined: std::collections::HashSet::new(),
-            failure_counts: std::collections::HashMap::new(),
             cumulative_metrics: Metrics::new(),
             pending_metrics,
             last_derefs: 0,
@@ -485,11 +444,7 @@ impl IolapDriver {
     /// `batch`, when it is still retained (pruning may have dropped it —
     /// that is bounded retention, not corruption).
     pub fn checkpoint_for(&self, batch: usize) -> Option<(u64, usize)> {
-        self.checkpoints
-            .iter()
-            .rev()
-            .find(|c| c.batch == batch)
-            .map(|c| (c.digest, c.bytes))
+        self.recovery.checkpoint_for(batch)
     }
 
     /// Resume a session from its durable log: walk `events` forward,
@@ -563,262 +518,49 @@ impl IolapDriver {
         e
     }
 
+    /// Record a trace mark under the batch's span when tracing is on.
+    fn mark(&self, run: &BatchRun, name: &'static str, n: u64, detail: impl Into<String>) {
+        if let Some(t) = &self.tracer {
+            t.instant(name, run.i, run.span, n, detail);
+        }
+    }
+
     fn run_batch(&mut self, i: usize) -> Result<BatchReport, DriverError> {
         let start = Span::start();
-        let mut stats = BatchStats::default();
-        let mut metrics = std::mem::take(&mut self.pending_metrics);
-        let mut recovered = false;
         let trace_from_seq = self.tracer.as_ref().map(|t| t.recorded()).unwrap_or(0);
-        let batch_span = match &self.tracer {
+        let span = match &self.tracer {
             Some(t) => t.begin("batch", i, self.query_span),
             None => SpanId::NONE,
         };
         if let Some(f) = &self.faults {
             f.begin_batch(i);
         }
+        let mut run = BatchRun {
+            i,
+            span,
+            stats: BatchStats::default(),
+            metrics: std::mem::take(&mut self.pending_metrics),
+            depth: 0,
+        };
 
-        // Processing + hardened §5.1 failure handling. Pass 0 runs the
-        // fresh delta; a recovery pass restores a checkpoint and replays
-        // the suffix as one combined delta. Crucially, each pass's
-        // outcomes re-enter the examination, so a range failure detected
-        // *during a replay* triggers another recovery instead of being
-        // dropped — and an execution error (a panicking worker, a poisoned
-        // deref) is treated as a transient batch failure that buys a
-        // restore + replay rather than aborting the query.
-        //
-        // Termination: each failure pass permanently consumes a quarantine
-        // credit (at most MAX_REF_FAILURES per attribute), error passes
-        // are bounded by `max_recovery_depth`, and past the depth budget
-        // the controller degrades: current offenders are barred from
-        // pruning for good and the whole retained prefix is recomputed
-        // HDA-style from the initial checkpoint.
-        let depth_cap = self.config.max_recovery_depth.max(1);
-        let mut depth = 0usize;
-        let mut replaying = false;
+        // Hardened §5.1 failure handling: a pass that fails for any cause
+        // rolls back and replays the suffix as one combined delta, and the
+        // replay's own outcomes re-enter the examination, so a range
+        // failure detected *during a replay* rolls back again (a cascade)
+        // instead of being dropped.
         let mut work = self.batches.batch(i).clone();
-        loop {
-            let pass_span = Span::start();
-            let attempt = self.process_delta(i, &work, &mut stats, &mut metrics, batch_span);
-            if replaying {
-                pass_span.stop(&mut metrics, "recovery.replay_ns");
-            }
-            let mut outcomes = match attempt {
-                Ok(o) => o,
-                Err(e) => {
-                    // Operator state may be half-updated; roll it back and
-                    // replay. Bounded: a persistent error is genuine and
-                    // must surface.
-                    depth += 1;
-                    if depth > depth_cap {
-                        return Err(self.dump_on_error(e));
-                    }
-                    if let Some(t) = &self.tracer {
-                        t.instant(
-                            "recovery.error_replay",
-                            i,
-                            batch_span,
-                            depth as u64,
-                            e.to_string(),
-                        );
-                    }
-                    metrics.add("recovery.error_replays", 1);
-                    recovered = true;
-                    let restore_span = Span::start();
-                    self.restore_checkpoint(i as isize - 1, &mut metrics)?;
-                    self.reseed_quarantine();
-                    restore_span.stop(&mut metrics, "recovery.restore_ns");
-                    let replay_start = self.restored_batch(i as isize - 1);
-                    work = self.combined_delta(replay_start, i);
-                    metrics.add("recovery.replays", 1);
-                    metrics.add("recovery.replayed_rows", work.len() as u64);
-                    if let Some(t) = &self.tracer {
-                        t.instant(
-                            "recovery.replay",
-                            i,
-                            batch_span,
-                            work.len() as u64,
-                            format!("replay batches {replay_start}..={i}"),
-                        );
-                    }
-                    replaying = true;
-                    continue;
-                }
-            };
-            if replaying {
-                // The replay re-published the failed aggregates, so their
-                // trackers hold fresh ranges covering the observed trials.
-                // Re-admit first-time offenders — permanently barring an
-                // attribute would degenerate single-predicate queries to
-                // full prefix recomputation (HDA behaviour) after one
-                // failure. Repeat offenders stay quarantined: their range
-                // is genuinely unstable and each re-admission would buy
-                // another full replay. Lifting *before* examining this
-                // pass's outcomes is what lets a mid-replay failure of a
-                // re-admitted attribute count as a fresh offense below.
-                self.lift_quarantine();
-            }
-            self.apply_forced_failures(i, &mut outcomes);
-            let Some(j) = self.examine_failures(&outcomes) else {
-                break;
-            };
-            if let Some(t) = &self.tracer {
-                t.instant(
-                    "range.failure",
-                    i,
-                    batch_span,
-                    outcomes.len() as u64,
-                    format!("recovery target j={j}"),
-                );
-            }
-            recovered = true;
-            self.total_failures += 1;
-            stats.failures = stats.failures.max(1);
-            depth += 1;
-            if replaying {
-                metrics.add("recovery.cascades", 1);
-                if let Some(t) = &self.tracer {
-                    t.instant(
-                        "recovery.cascade",
-                        i,
-                        batch_span,
-                        depth as u64,
-                        format!("cascade depth {depth}"),
-                    );
-                }
-            }
-            let target = if depth > depth_cap {
-                // Graceful degradation: bar the offenders for good and
-                // recompute the whole retained prefix from the initial
-                // checkpoint (HDA-style).
-                metrics.add("recovery.degraded", 1);
-                if let Some(t) = &self.tracer {
-                    t.instant("recovery.degraded", i, batch_span, depth as u64, "");
-                }
-                self.bar_quarantined_offenders();
-                -1
-            } else {
-                j
-            };
-            let restore_span = Span::start();
-            self.restore_checkpoint(target, &mut metrics)?;
-            self.reseed_quarantine();
-            restore_span.stop(&mut metrics, "recovery.restore_ns");
-            let replay_start = self.restored_batch(target);
-            work = self.combined_delta(replay_start, i);
-            metrics.add("recovery.replays", 1);
-            metrics.add("recovery.replayed_rows", work.len() as u64);
-            if let Some(t) = &self.tracer {
-                t.instant(
-                    "recovery.replay",
-                    i,
-                    batch_span,
-                    work.len() as u64,
-                    format!("replay batches {replay_start}..={i} (target {target})"),
-                );
-            }
-            replaying = true;
-        }
-
-        let (state_bytes_join, state_bytes_other) = self.root.state_bytes();
-        // Checkpoint for future recovery, under bounded retention.
-        if (i + 1).is_multiple_of(self.config.checkpoint_interval.max(1)) {
-            let dropped = match &self.faults {
-                Some(f) => f.inject_checkpoint_drop(i),
-                None => false,
-            };
-            if dropped {
-                // Injected lost write: recovery must cope with the gap by
-                // falling back to an older checkpoint.
-                metrics.add("ckpt.dropped", 1);
-                if let Some(t) = &self.tracer {
-                    t.instant("ckpt.drop", i, batch_span, 0, "");
-                }
-            } else {
-                let save_span = Span::start();
-                let bytes = state_bytes_join + state_bytes_other + self.registry.approx_bytes();
-                let mut cp = Checkpoint {
-                    batch: i,
-                    root: self.root.clone(),
-                    sink: self.sink.clone(),
-                    registry: self.registry.clone(),
-                    digest: 0,
-                    bytes,
-                };
-                cp.digest = cp.fingerprint_with((state_bytes_join, state_bytes_other));
-                if matches!(&self.faults, Some(f) if f.inject_checkpoint_corruption(i)) {
-                    // Injected bit rot: damage the digest so a future
-                    // restore detects the mismatch and skips this save.
-                    cp.digest = !cp.digest;
-                }
-                self.checkpoints.push(cp);
-                save_span.stop(&mut metrics, "ckpt.save_ns");
-                if let Some(t) = &self.tracer {
-                    t.instant("ckpt.save", i, batch_span, bytes as u64, "");
-                }
-                metrics.add("ckpt.saves", 1);
-                metrics.add("ckpt.clone_bytes", bytes as u64);
-                self.prune_checkpoints(i, &mut metrics);
-                metrics.add("ckpt.retained", self.checkpoints.len() as u64);
-                let retained_bytes: usize = self.checkpoints.iter().map(|c| c.bytes).sum();
-                metrics.add("ckpt.retained_bytes", retained_bytes as u64);
-            }
-        }
-
-        let publish_span = Span::start();
-        // Publish is pure over `(&sink, &registry)`, so a panic mid-render
-        // (a poisoned deref that survived to the read path) leaves no state
-        // to roll back — a bounded retry re-renders from intact state.
-        let mut publish_retries = 0usize;
-        let result = loop {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sink.publish_traced(
-                    &self.registry,
-                    self.batches.scale_after(i),
-                    self.config.trials,
-                    self.config.confidence,
-                    self.tracer.as_deref(),
-                    i,
-                    batch_span,
-                )
-            }));
-            match attempt {
-                Ok(r) => break r,
-                Err(payload) => {
-                    publish_retries += 1;
-                    if publish_retries > depth_cap {
-                        return Err(self.dump_on_error(DriverError::Engine(EngineError::Plan(
-                            format!(
-                                "publish panicked: {}",
-                                crate::faults::panic_message(payload)
-                            ),
-                        ))));
-                    }
-                    metrics.add("recovery.publish_retries", 1);
-                    if let Some(t) = &self.tracer {
-                        t.instant(
-                            "sink.publish_retry",
-                            i,
-                            batch_span,
-                            publish_retries as u64,
-                            "publish panicked; re-rendering from intact state",
-                        );
-                    }
-                    recovered = true;
-                }
+        let (result, (state_bytes_join, state_bytes_other)) = loop {
+            match self.pass(&mut run, &work) {
+                Ok(done) => break done,
+                Err(cause) => work = self.roll_back(&mut run, cause)?,
             }
         };
-        publish_span.stop(&mut metrics, "sink.publish_ns");
-        metrics.add("sink.result_rows", result.relation.len() as u64);
-        self.cumulative_metrics.merge(&metrics);
+        let rows = result.relation.len() as u64;
+        run.metrics.add("sink.result_rows", rows);
+        self.cumulative_metrics.merge(&run.metrics);
         let self_time_ns = match &self.tracer {
             Some(t) => {
-                t.end(
-                    "batch",
-                    i,
-                    batch_span,
-                    self.query_span,
-                    result.relation.len() as u64,
-                );
+                t.end("batch", i, span, self.query_span, rows);
                 self_time_by_name(&t.events_since(trace_from_seq))
                     .into_iter()
                     .collect()
@@ -828,25 +570,163 @@ impl IolapDriver {
         Ok(BatchReport {
             batch: i,
             result,
-            stats,
-            metrics,
+            stats: run.stats,
+            metrics: run.metrics,
             elapsed: start.elapsed(),
             fraction: self.batches.rows_through(i) as f64 / self.batches.total_rows().max(1) as f64,
-            recovered,
+            recovered: run.depth > 0,
             state_bytes_join,
             state_bytes_other,
             self_time_ns,
         })
     }
 
+    /// One pass over `work` (the fresh delta, or a replay's combined
+    /// delta): process, examine the range outcomes, then save a checkpoint
+    /// and publish. `Err` names why the pass must be rolled back; `Ok`
+    /// carries the published result and the operator state bytes.
+    fn pass(
+        &mut self,
+        run: &mut BatchRun,
+        work: &Relation,
+    ) -> Result<(QueryResult, (usize, usize)), Rollback> {
+        let i = run.i;
+        let pass_span = Span::start();
+        let attempt = self.process_delta(run, work);
+        if run.depth > 0 {
+            pass_span.stop(&mut run.metrics, "recovery.replay_ns");
+        }
+        let mut outcomes = attempt.map_err(Rollback::Error)?;
+        if run.depth > 0 {
+            // Re-admitting *before* examining this pass's outcomes is what
+            // lets a mid-replay failure of a re-admitted range count as a
+            // fresh offense.
+            self.recovery.readmit(&mut self.registry);
+        }
+        self.apply_forced_failures(i, &mut outcomes);
+        if let Some(target) = self.recovery.examine(&mut self.registry, &outcomes) {
+            return Err(Rollback::Range(target, outcomes.len()));
+        }
+        let state_bytes = self.root.state_bytes();
+        let saved = self.save_checkpoint(run, state_bytes);
+        let publish_span = Span::start();
+        let result = contain("publish", || {
+            self.sink.publish_traced(
+                &self.registry,
+                self.batches.scale_after(i),
+                self.config.trials,
+                self.config.confidence,
+                self.tracer.as_deref(),
+                i,
+                run.span,
+            )
+        })
+        .map_err(|e| Rollback::Error(e.into()))?;
+        publish_span.stop(&mut run.metrics, "sink.publish_ns");
+        // Retention runs after the publish, so a panicking publish can
+        // still restore the previous save and replay batch `i` alone.
+        if saved {
+            if let Some(b) = self.recovery.prune(i, &self.registry, &mut run.metrics) {
+                let rows = self.batches.rows_through(b) as u64;
+                self.weight_memo.forget_before(rows);
+            }
+        }
+        Ok((result, state_bytes))
+    }
+
+    /// The one rollback path (§5.1): restore the newest intact checkpoint
+    /// `cause` allows, keeping the live quarantine, and return the combined
+    /// delta that replays every batch after it through `i`. One depth
+    /// budget covers every cause: past [`MAX_RECOVERY_DEPTH`] rollbacks an
+    /// error is genuine and surfaces, and a range failure degrades — its
+    /// offenders are barred from pruning for good and the whole prefix is
+    /// recomputed from the initial checkpoint, HDA-style.
+    fn roll_back(&mut self, run: &mut BatchRun, cause: Rollback) -> Result<Relation, DriverError> {
+        run.depth += 1;
+        let (i, depth) = (run.i, run.depth);
+        let target = match cause {
+            Rollback::Error(e) => {
+                if depth > MAX_RECOVERY_DEPTH {
+                    return Err(self.dump_on_error(e));
+                }
+                self.mark(run, "recovery.error_replay", depth as u64, e.to_string());
+                run.metrics.add("recovery.error_replays", 1);
+                i
+            }
+            Rollback::Range(target, outcomes) => {
+                let detail = format!("replay from batch {target}");
+                self.mark(run, "range.failure", outcomes as u64, detail);
+                self.total_failures += 1;
+                run.stats.failures = run.stats.failures.max(1);
+                if depth > 1 {
+                    run.metrics.add("recovery.cascades", 1);
+                    let detail = format!("cascade depth {depth}");
+                    self.mark(run, "recovery.cascade", depth as u64, detail);
+                }
+                if depth > MAX_RECOVERY_DEPTH {
+                    run.metrics.add("recovery.degraded", 1);
+                    self.mark(run, "recovery.degraded", depth as u64, "");
+                    self.recovery.bar_offenders(&self.registry);
+                    0
+                } else {
+                    target
+                }
+            }
+        };
+        let restore_span = Span::start();
+        let from = self.restore(target, &mut run.metrics)?;
+        restore_span.stop(&mut run.metrics, "recovery.restore_ns");
+        let work = self.combined_delta(from, i);
+        run.metrics.add("recovery.replays", 1);
+        run.metrics.add("recovery.replayed_rows", work.len() as u64);
+        let detail = format!("replay batches {from}..={i} (target {target})");
+        self.mark(run, "recovery.replay", work.len() as u64, detail);
+        Ok(work)
+    }
+
+    /// Restore the newest intact checkpoint for `target`, keeping the live
+    /// quarantine, and reset the per-batch diff baselines to the restored
+    /// registry. Returns the first batch to replay.
+    fn restore(&mut self, target: usize, metrics: &mut Metrics) -> Result<usize, DriverError> {
+        let live = (&mut self.root, &mut self.sink, &mut self.registry);
+        let from = self.recovery.restore(target, live, metrics)?;
+        self.last_published = self.registry.published_bytes();
+        self.last_derefs = self.registry.deref_count();
+        Ok(from)
+    }
+
+    /// Checkpoint the state after the batch when the interval says so;
+    /// `state_bytes` is `root.state_bytes()`. Returns whether a checkpoint
+    /// was saved.
+    fn save_checkpoint(&mut self, run: &mut BatchRun, state_bytes: (usize, usize)) -> bool {
+        let i = run.i;
+        if !(i + 1).is_multiple_of(self.config.checkpoint_interval.max(1)) {
+            return false;
+        }
+        if matches!(&self.faults, Some(f) if f.inject_checkpoint_drop(i)) {
+            // Injected lost write: recovery must cope with the gap by
+            // falling back to an older checkpoint.
+            run.metrics.add("ckpt.dropped", 1);
+            self.mark(run, "ckpt.drop", 0, "");
+            return false;
+        }
+        let save_span = Span::start();
+        let corrupt = matches!(&self.faults, Some(f) if f.inject_checkpoint_corruption(i));
+        let live = (&self.root, &self.sink, &self.registry);
+        let bytes = self.recovery.save(i, live, state_bytes, corrupt);
+        save_span.stop(&mut run.metrics, "ckpt.save_ns");
+        self.mark(run, "ckpt.save", bytes as u64, "");
+        run.metrics.add("ckpt.saves", 1);
+        run.metrics.add("ckpt.clone_bytes", bytes as u64);
+        true
+    }
+
     fn process_delta(
         &mut self,
-        i: usize,
+        run: &mut BatchRun,
         delta: &Relation,
-        stats: &mut BatchStats,
-        metrics: &mut Metrics,
-        batch_span: SpanId,
-    ) -> Result<Vec<(iolap_relation::AggRef, RangeOutcome)>, DriverError> {
+    ) -> Result<Vec<(AggRef, RangeOutcome)>, DriverError> {
+        let i = run.i;
         let shipped_before = self.shard_bytes_shipped();
         let mut ctx = BatchCtx {
             registry: &mut self.registry,
@@ -868,25 +748,21 @@ impl IolapDriver {
             metrics: Metrics::new(),
             faults: self.faults.as_deref(),
             trace: self.tracer.as_deref(),
-            cur_span: batch_span,
+            cur_span: run.span,
         };
-        // A panicking operator (a poisoned deref, an injected fault) must
-        // surface as a recoverable error, not tear down the controller: the
-        // checkpoint mechanism makes half-updated state safe to abandon.
-        let out =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.root.process(&mut ctx)))
-                .unwrap_or_else(|payload| {
-                    Err(EngineError::Plan(format!(
-                        "operator panicked: {}",
-                        crate::faults::panic_message(payload)
-                    )))
-                })?;
+        // A panicking operator must surface as a recoverable error, not
+        // tear down the controller.
+        let out = contain("operator", || self.root.process(&mut ctx))??;
         let outcomes = std::mem::take(&mut ctx.outcomes);
         let ctx_stats = std::mem::take(&mut ctx.stats);
         let ctx_metrics = std::mem::take(&mut ctx.metrics);
         drop(ctx);
+        let (stats, metrics) = (&mut run.stats, &mut run.metrics);
         stats.recomputed_tuples += ctx_stats.recomputed_tuples;
-        let publish_delta = self.registry_publish_delta();
+        // published_bytes is cumulative; report per-pass growth.
+        let published = self.registry.published_bytes();
+        let publish_delta = published.saturating_sub(self.last_published);
+        self.last_published = published;
         stats.shipped_bytes += ctx_stats.shipped_bytes + publish_delta;
         stats.failures += ctx_stats.failures;
         metrics.merge(&ctx_metrics);
@@ -909,88 +785,6 @@ impl IolapDriver {
         Ok(outcomes)
     }
 
-    fn registry_publish_delta(&mut self) -> usize {
-        // published_bytes is cumulative; report per-call growth.
-        // (Kept simple: the driver reads it once per process_delta.)
-        let total = self.registry.published_bytes();
-        let delta = total.saturating_sub(self.last_published);
-        self.last_published = total;
-        delta
-    }
-
-    /// Checkpoint batch on the `-1 = initial` number line used by recovery
-    /// targets.
-    fn cp_batch(c: &Checkpoint) -> isize {
-        if c.batch == usize::MAX {
-            -1
-        } else {
-            c.batch as isize
-        }
-    }
-
-    /// Restore the newest *intact* checkpoint at or before recovery point
-    /// `j` (`-1` = initial state). A checkpoint whose digest no longer
-    /// matches its fingerprint is discarded and an older one is tried —
-    /// restoring older than asked is always sound, it just replays a
-    /// longer suffix. The initial checkpoint is never corrupted or pruned,
-    /// so the walk always terminates successfully. `restored_batch`
-    /// reports which batch the state now reflects.
-    fn restore_checkpoint(&mut self, j: isize, metrics: &mut Metrics) -> Result<(), DriverError> {
-        loop {
-            let idx = self
-                .checkpoints
-                .iter()
-                .rposition(|c| Self::cp_batch(c) <= j)
-                .ok_or_else(|| DriverError::Setup("no usable checkpoint".into()))?;
-            if self.checkpoints[idx].digest != self.checkpoints[idx].fingerprint() {
-                metrics.add("ckpt.corrupt_detected", 1);
-                self.checkpoints.remove(idx);
-                continue;
-            }
-            self.checkpoints.truncate(idx + 1);
-            let cp = &self.checkpoints[idx];
-            self.root = cp.root.clone();
-            self.sink = cp.sink.clone();
-            self.registry = cp.registry.clone();
-            self.last_published = self.registry.published_bytes();
-            self.last_derefs = self.registry.deref_count();
-            return Ok(());
-        }
-    }
-
-    /// Examine the outcomes of one processing pass: every non-quarantined
-    /// failing attribute is quarantined (its failure count bumped) and the
-    /// pass-wide recovery point — the minimum over per-attribute targets —
-    /// is returned; `None` means the pass is clean.
-    ///
-    /// §5.1 failure handling, gated on usage: only attributes whose range
-    /// actually pruned a tuple can have corrupted saved decisions; unused
-    /// attributes simply adopt their fresh range. The replay target never
-    /// needs to predate an attribute's first pruning use — no decision
-    /// involving it exists before then.
-    fn examine_failures(&mut self, outcomes: &[(AggRef, RangeOutcome)]) -> Option<isize> {
-        let mut failure_target: Option<isize> = None;
-        for (r, o) in outcomes {
-            if let RangeOutcome::Failure { replay_from } = o {
-                if self.quarantined.contains(r) {
-                    continue;
-                }
-                let Some(first_used) = self.registry.first_used(r) else {
-                    continue;
-                };
-                let tracker_j = replay_from.map(|j| j as isize).unwrap_or(-1);
-                let usage_j = first_used as isize - 1;
-                let j = tracker_j.max(usage_j);
-                failure_target = Some(failure_target.map_or(j, |x: isize| x.min(j)));
-                // Quarantine the attribute for the recovery window so the
-                // replayed decisions cannot reuse the violated range.
-                *self.failure_counts.entry(r.clone()).or_insert(0) += 1;
-                self.quarantined.insert(r.clone());
-            }
-        }
-        failure_target
-    }
-
     /// Flip an armed `FailRange` fault: a matching `Ok` outcome becomes a
     /// `Failure { replay_from: i-1 }` — the shape a tracker reports when
     /// only the previous batch's range still covers the fresh envelope.
@@ -1007,7 +801,7 @@ impl IolapDriver {
         for (r, o) in outcomes.iter_mut() {
             if !matches!(o, RangeOutcome::Ok)
                 || self.registry.first_used(r).is_none()
-                || self.quarantined.contains(r)
+                || self.registry.is_quarantined(r)
             {
                 continue;
             }
@@ -1017,112 +811,6 @@ impl IolapDriver {
                 };
                 return;
             }
-        }
-    }
-
-    /// Degradation: every currently-quarantined attribute is barred from
-    /// pruning for good (its failure count saturates), so the HDA-style
-    /// full-prefix recomputation that follows cannot fail the same way.
-    fn bar_quarantined_offenders(&mut self) {
-        for r in &self.quarantined {
-            self.failure_counts.insert(r.clone(), MAX_REF_FAILURES);
-        }
-    }
-
-    /// Bounded retention. A future recovery target is always
-    /// `j ≥ F = min over live (non-barred) used attributes of
-    /// (first_used - 1)`: the usage gate in `examine_failures` never asks
-    /// for anything older. Checkpoints strictly older than the newest one
-    /// at or before `F` can therefore never be selected — drop them. On
-    /// top of that a hard cap (`max_checkpoints`) bounds worst-case
-    /// memory; dropping a feasible checkpoint under the cap is still
-    /// sound, recovery just restores an older survivor and replays more.
-    /// The initial checkpoint (index 0, O(1) bytes) is always retained so
-    /// corruption fallback and degradation always have a target.
-    ///
-    /// A replay from checkpoint `c` scans the rows after batch `c`, so the
-    /// weight memo keeps only the rows after the checkpoint the oldest
-    /// feasible target restores. When that is the initial checkpoint
-    /// (e.g. a live range was first used at batch 0), it keeps every row.
-    /// Only a fallback replay (a corrupt or cap-dropped checkpoint,
-    /// degradation) can scan a forgotten row again, and it draws the same
-    /// bits.
-    fn prune_checkpoints(&mut self, i: usize, metrics: &mut Metrics) {
-        let barred: HashSet<AggRef> = self
-            .failure_counts
-            .iter()
-            .filter(|(_, c)| **c >= MAX_REF_FAILURES)
-            .map(|(r, _)| r.clone())
-            .collect();
-        let feasible = self
-            .registry
-            .min_live_first_use(&barred)
-            .map(|b| b as isize - 1)
-            .unwrap_or(i as isize);
-        let anchor = self
-            .checkpoints
-            .iter()
-            .rposition(|c| Self::cp_batch(c) <= feasible)
-            .unwrap_or(0);
-        if anchor > 1 {
-            metrics.add("ckpt.pruned", (anchor - 1) as u64);
-            self.checkpoints.drain(1..anchor);
-        }
-        let cap = self.config.max_checkpoints.max(2);
-        while self.checkpoints.len() > cap {
-            self.checkpoints.remove(1);
-            metrics.add("ckpt.pruned", 1);
-        }
-        let target = self
-            .checkpoints
-            .iter()
-            .rposition(|c| Self::cp_batch(c) <= feasible)
-            .unwrap_or(0);
-        if target > 0 {
-            let replayable = self.batches.rows_through(self.checkpoints[target].batch);
-            self.weight_memo.forget_before(replayable as u64);
-        }
-    }
-
-    fn reseed_quarantine(&mut self) {
-        for r in &self.quarantined {
-            self.registry.quarantine(r.clone());
-        }
-    }
-
-    fn lift_quarantine(&mut self) {
-        let counts = &self.failure_counts;
-        let readmitted: Vec<_> = self
-            .quarantined
-            .iter()
-            .filter(|r| counts.get(*r).copied().unwrap_or(0) < MAX_REF_FAILURES)
-            .cloned()
-            .collect();
-        for r in readmitted {
-            self.quarantined.remove(&r);
-            self.registry.unquarantine(&r);
-        }
-    }
-
-    /// First batch the replay must cover after restoring to target `j`:
-    /// the batch after the restored checkpoint. Derived from `j` with the
-    /// same newest-at-or-before rule `restore_checkpoint` uses, so the two
-    /// cannot drift apart (the previous implementation ignored `j` and
-    /// trusted `checkpoints.last()`, which silently desynchronized when a
-    /// restore discarded corrupted saves).
-    fn restored_batch(&self, j: isize) -> usize {
-        let idx = self
-            .checkpoints
-            .iter()
-            .rposition(|c| Self::cp_batch(c) <= j);
-        debug_assert_eq!(
-            idx,
-            self.checkpoints.len().checked_sub(1),
-            "restore must leave its target checkpoint newest"
-        );
-        match idx.map(|k| &self.checkpoints[k]) {
-            Some(c) if c.batch != usize::MAX => c.batch + 1,
-            _ => 0,
         }
     }
 
@@ -1151,10 +839,7 @@ impl IolapDriver {
 
     /// Retained checkpoint footprint: `(count, approximate state bytes)`.
     pub fn checkpoint_footprint(&self) -> (usize, usize) {
-        (
-            self.checkpoints.len(),
-            self.checkpoints.iter().map(|c| c.bytes).sum(),
-        )
+        self.recovery.footprint()
     }
 
     fn combined_delta(&self, from_batch: usize, through_batch: usize) -> Relation {
@@ -1165,6 +850,19 @@ impl IolapDriver {
         }
         Relation::new(schema, rows)
     }
+}
+
+/// Run `f` behind an unwind barrier: a panic (a poisoned deref, an injected
+/// fault) surfaces as an `EngineError` naming `what`, which the rollback
+/// path treats like any execution error — the checkpoint mechanism makes
+/// half-updated state safe to abandon.
+fn contain<T>(what: &str, f: impl FnOnce() -> T) -> Result<T, EngineError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        EngineError::Plan(format!(
+            "{what} panicked: {}",
+            crate::faults::panic_message(payload)
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -1214,6 +912,11 @@ mod tests {
         }
     }
 
+    /// Batches of the retained checkpoints, oldest first.
+    fn retained(d: &IolapDriver) -> Vec<usize> {
+        d.recovery.retained()
+    }
+
     #[test]
     fn zero_batches_is_a_setup_error() {
         let result = IolapDriver::from_sql(
@@ -1242,33 +945,18 @@ mod tests {
         // initial checkpoint) can ever be selected.
         let mut d = driver(120, 6, NO_FAIL, 2);
         d.run_to_completion().unwrap();
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 5]);
+        assert_eq!(retained(&d), vec![usize::MAX, 5]);
     }
 
     #[test]
     fn retention_keeps_checkpoints_back_to_first_use() {
-        // An attribute first used for pruning at batch 3 pins every
-        // checkpoint from batch 2 on; older intermediates are pruned.
-        let mut cfg = IolapConfig::with_batches(6)
-            .trials(8)
-            .seed(3)
-            .slack(NO_FAIL)
-            .max_checkpoints(16);
-        cfg.partition_mode = PartitionMode::Sequential;
-        cfg.checkpoint_interval = 1;
-        let mut d = IolapDriver::from_sql(
-            "SELECT SUM(x) FROM t WHERE x > (SELECT AVG(x) FROM t)",
-            &catalog(120),
-            &FunctionRegistry::with_builtins(),
-            "t",
-            cfg,
-        )
-        .unwrap();
-        d.registry.mark_used(aref(), 3);
+        // An attribute first used for pruning at batch 4 pins every
+        // checkpoint from batch 3 on; older intermediates are pruned (the
+        // cap alone would keep batch 2 as well).
+        let mut d = driver(100, 5, NO_FAIL, 1);
+        d.registry.mark_used(aref(), 4);
         d.run_to_completion().unwrap();
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 2, 3, 4, 5]);
+        assert_eq!(retained(&d), vec![usize::MAX, 3, 4]);
     }
 
     #[test]
@@ -1280,8 +968,9 @@ mod tests {
         let mut d = driver(120, 6, NO_FAIL, 1);
         while let Some(step) = d.step() {
             step.unwrap();
-            let newest = d.checkpoints.last().unwrap().batch;
-            assert_eq!(d.checkpoints.len(), 2);
+            let batches = retained(&d);
+            assert_eq!(batches.len(), 2);
+            let newest = batches[1];
             let replayable = d.batches.rows_through(newest) as u64;
             assert!(d.weight_memo.held().start >= replayable);
             assert!(d.weight_memo.held().is_empty());
@@ -1292,14 +981,13 @@ mod tests {
 
     #[test]
     fn weight_memo_keeps_the_rows_a_feasible_replay_scans() {
-        // First used at batch 3: the oldest feasible target restores the
-        // batch-2 checkpoint (retained: the cap is out of the way), so
-        // rows from batch 3 on stay. First used at batch 0: the initial
-        // checkpoint is a feasible target, so every row stays (Q18's
-        // replays restore it nearly every batch).
-        for (first_use, held) in [(3, 60..120), (0, 0..120)] {
-            let mut d = driver(120, 6, NO_FAIL, 1);
-            d.config.max_checkpoints = 16;
+        // First used at batch 4: the oldest feasible target restores the
+        // batch-3 checkpoint (retained under the cap), so rows from batch 4
+        // on stay. First used at batch 0: the initial checkpoint is a
+        // feasible target, so every row stays (Q18's replays restore it
+        // nearly every batch).
+        for (first_use, held) in [(4, 80..100), (0, 0..100)] {
+            let mut d = driver(100, 5, NO_FAIL, 1);
             d.registry.mark_used(aref(), first_use);
             d.run_to_completion().unwrap();
             assert_eq!(d.weight_memo.held(), held, "first use {first_use}");
@@ -1314,13 +1002,11 @@ mod tests {
         for _ in 0..5 {
             d.step().unwrap().unwrap();
         }
-        // Cap 4 (the default): initial + the 3 newest of batches 0..=4.
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 2, 3, 4]);
-        d.restore_checkpoint(2, &mut Metrics::new()).unwrap();
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 2]);
-        assert_eq!(d.restored_batch(2), 3);
+        // The cap of 4: initial + the 3 newest of batches 0..=4.
+        assert_eq!(retained(&d), vec![usize::MAX, 2, 3, 4]);
+        // Replaying from batch 3 restores the batch-2 checkpoint.
+        assert_eq!(d.restore(3, &mut Metrics::new()).unwrap(), 3);
+        assert_eq!(retained(&d), vec![usize::MAX, 2]);
         // The publish baselines must match the restored registry, not the
         // discarded newer state.
         assert_eq!(d.last_published, d.registry.published_bytes());
@@ -1329,18 +1015,15 @@ mod tests {
 
     #[test]
     fn restore_with_sparse_checkpoints_replays_from_checkpoint_batch() {
-        // Interval 3 saves after batches 2 and 5; a failure at batch 4
-        // targeting j=4 must restore the batch-2 checkpoint and replay
-        // from batch 3 — the checkpoint's successor, NOT the failure
-        // batch. (The old `restored_batch` ignored its argument; this
-        // pins the j-derived behaviour.)
+        // Interval 3 saves after batches 2 and 5; a failure asking to
+        // replay from batch 5 must restore the batch-2 checkpoint and
+        // replay from batch 3 — the checkpoint's successor, NOT the
+        // target.
         let mut d = driver(120, 6, NO_FAIL, 3);
         d.registry.mark_used(aref(), 3); // keep the batch-2 checkpoint alive
         d.run_to_completion().unwrap();
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 2, 5]);
-        d.restore_checkpoint(4, &mut Metrics::new()).unwrap();
-        assert_eq!(d.restored_batch(4), 3);
+        assert_eq!(retained(&d), vec![usize::MAX, 2, 5]);
+        assert_eq!(d.restore(5, &mut Metrics::new()).unwrap(), 3);
     }
 
     #[test]
@@ -1350,11 +1033,10 @@ mod tests {
             d.step().unwrap().unwrap();
         }
         assert!(d.last_published > 0, "batches must have published state");
-        d.restore_checkpoint(-1, &mut Metrics::new()).unwrap();
-        assert_eq!(d.checkpoints.len(), 1);
+        assert_eq!(d.restore(0, &mut Metrics::new()).unwrap(), 0);
+        assert_eq!(retained(&d), vec![usize::MAX]);
         assert!(d.registry.is_empty());
         assert_eq!(d.last_published, 0);
-        assert_eq!(d.restored_batch(-1), 0);
     }
 
     #[test]
@@ -1364,18 +1046,14 @@ mod tests {
         for _ in 0..4 {
             d.step().unwrap().unwrap();
         }
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 1, 2, 3]);
+        assert_eq!(retained(&d), vec![usize::MAX, 1, 2, 3]);
         // Damage the newest save; a restore targeting it must detect the
         // mismatch and fall back to the batch-2 checkpoint.
-        let last = d.checkpoints.len() - 1;
-        d.checkpoints[last].digest ^= 1;
+        d.recovery.damage_newest();
         let mut m = Metrics::new();
-        d.restore_checkpoint(3, &mut m).unwrap();
+        assert_eq!(d.restore(4, &mut m).unwrap(), 3); // batch-2 checkpoint + 1
         assert_eq!(m.get("ckpt.corrupt_detected"), 1);
-        assert_eq!(d.restored_batch(3), 3); // batch-2 checkpoint + 1
-        let batches: Vec<usize> = d.checkpoints.iter().map(|c| c.batch).collect();
-        assert_eq!(batches, vec![usize::MAX, 1, 2]);
+        assert_eq!(retained(&d), vec![usize::MAX, 1, 2]);
     }
 
     #[test]
@@ -1410,26 +1088,38 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_reseeds_and_lifts_first_offenders_only() {
+    fn quarantine_survives_a_restore_and_only_first_offenders_are_lifted() {
         let mut d = driver(120, 6, NO_FAIL, 1);
-        let r = aref();
+        d.step().unwrap().unwrap();
+        let first = aref();
+        let repeat = AggRef {
+            column: 1,
+            ..aref()
+        };
+        let failed = |r: &AggRef| (r.clone(), RangeOutcome::Failure { replay_from: None });
+        d.registry.mark_used(first.clone(), 0);
+        d.registry.mark_used(repeat.clone(), 0);
 
-        // First failure: survives the restore reseed, lifted after replay.
-        d.quarantined.insert(r.clone());
-        d.failure_counts.insert(r.clone(), 1);
-        d.reseed_quarantine();
-        assert!(d.registry.is_quarantined(&r));
-        d.lift_quarantine();
-        assert!(!d.registry.is_quarantined(&r));
-        assert!(d.quarantined.is_empty());
+        // `repeat` fails once and is re-admitted after its replay.
+        assert_eq!(
+            d.recovery.examine(&mut d.registry, &[failed(&repeat)]),
+            Some(0)
+        );
+        d.recovery.readmit(&mut d.registry);
+        assert!(!d.registry.is_quarantined(&repeat));
 
-        // Repeat offender at the failure cap: stays quarantined.
-        d.quarantined.insert(r.clone());
-        d.failure_counts.insert(r.clone(), MAX_REF_FAILURES);
-        d.reseed_quarantine();
-        d.lift_quarantine();
-        assert!(d.registry.is_quarantined(&r));
-        assert!(d.quarantined.contains(&r));
+        // Now `first` fails for the first time and `repeat` a second time.
+        let outcomes = [failed(&first), failed(&repeat)];
+        assert_eq!(d.recovery.examine(&mut d.registry, &outcomes), Some(0));
+        // The restored registry predates both failures; the live
+        // quarantine survives it.
+        assert_eq!(d.restore(0, &mut Metrics::new()).unwrap(), 0);
+        assert!(d.registry.is_quarantined(&first) && d.registry.is_quarantined(&repeat));
+        // Re-admission lifts the first offender only; the repeat offender
+        // has reached the failure cap of two and stays barred.
+        d.recovery.readmit(&mut d.registry);
+        assert!(!d.registry.is_quarantined(&first));
+        assert!(d.registry.is_quarantined(&repeat));
     }
 
     #[test]

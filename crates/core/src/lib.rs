@@ -28,6 +28,7 @@ pub mod metrics;
 pub mod ops;
 pub mod ops_agg;
 pub mod ops_join;
+mod recovery;
 pub mod registry;
 pub mod rewriter;
 pub mod shard;

@@ -15,6 +15,7 @@
 
 use crate::channel::ORow;
 use crate::faults::FaultInjector;
+use crate::trace::{SpanId, NO_BATCH};
 use iolap_bootstrap::{RangeOutcome, RangeTracker, VariationRange};
 use iolap_engine::{EvalContext, Expr, RefMode, RefResolver};
 use iolap_relation::{AggRef, PendingCell, Value};
@@ -309,15 +310,7 @@ impl AggRegistry {
 
     /// Exclude `r` from future pruning (after a failure while in use).
     pub fn quarantine(&mut self, r: AggRef) {
-        if let Some(t) = &self.tracer {
-            t.instant(
-                "registry.quarantine",
-                crate::trace::NO_BATCH,
-                crate::trace::SpanId::NONE,
-                0,
-                format!("agg={} col={}", r.agg, r.column),
-            );
-        }
+        self.trace_quarantine("registry.quarantine", &r);
         self.quarantined.insert(r);
     }
 
@@ -326,21 +319,33 @@ impl AggRegistry {
     /// decision that depended on the violated range has been recomputed, so
     /// monitoring can resume (§5.1).
     pub fn unquarantine(&mut self, r: &AggRef) {
-        if let Some(t) = &self.tracer {
-            t.instant(
-                "registry.unquarantine",
-                crate::trace::NO_BATCH,
-                crate::trace::SpanId::NONE,
-                0,
-                format!("agg={} col={}", r.agg, r.column),
-            );
-        }
+        self.trace_quarantine("registry.unquarantine", r);
         self.quarantined.remove(r);
+    }
+
+    fn trace_quarantine(&self, name: &'static str, r: &AggRef) {
+        if let Some(t) = &self.tracer {
+            let detail = format!("agg={} col={}", r.agg, r.column);
+            t.instant(name, NO_BATCH, SpanId::NONE, 0, detail);
+        }
     }
 
     /// Whether `r` is quarantined.
     pub fn is_quarantined(&self, r: &AggRef) -> bool {
         self.quarantined.contains(r)
+    }
+
+    /// The quarantine set (the recovery policy reads it).
+    pub(crate) fn quarantined(&self) -> &std::collections::HashSet<AggRef> {
+        &self.quarantined
+    }
+
+    /// Roll back to `snapshot` (a checkpoint's clone) but keep the live
+    /// quarantine set, so a replay cannot reuse a violated range.
+    pub(crate) fn restore(&mut self, snapshot: &AggRegistry) {
+        let quarantined = std::mem::take(&mut self.quarantined);
+        *self = snapshot.clone();
+        self.quarantined = quarantined;
     }
 
     /// Group entry lookup (lazy resolution, tests, instrumentation).
@@ -393,19 +398,9 @@ impl AggRegistry {
         self.used_for_pruning.get(r).copied()
     }
 
-    /// Earliest first-use batch over attributes not in `barred` — the
-    /// oldest batch a future recovery could still target (checkpoint
-    /// retention; permanently quarantined attributes no longer drive
-    /// recovery). `None` when no live attribute has pruned.
-    pub fn min_live_first_use(&self, barred: &std::collections::HashSet<AggRef>) -> Option<usize> {
-        let mut min: Option<usize> = None;
-        for (r, b) in self.used_for_pruning.iter() {
-            if barred.contains(r) {
-                continue;
-            }
-            min = Some(min.map_or(*b, |m: usize| m.min(*b)));
-        }
-        min
+    /// Every attribute's first pruning-use batch (checkpoint retention).
+    pub(crate) fn first_uses(&self) -> &HashMap<AggRef, usize> {
+        &self.used_for_pruning
     }
 
     /// Build a `Pending` lineage cell for a computed uncertain attribute:

@@ -6,7 +6,7 @@
 //! of them with answers still matching the offline oracle on the scaled
 //! prefix (Theorem 1 does not get a fault-injection exemption).
 
-use iolap_core::{FaultKind, FaultPlan, IolapConfig, IolapDriver};
+use iolap_core::{BatchReport, FaultKind, FaultPlan, IolapConfig, IolapDriver};
 use iolap_engine::{execute, plan_sql, FunctionRegistry};
 use iolap_relation::{
     BatchedRelation, Catalog, DataType, PartitionMode, Relation, Row, Schema, Value,
@@ -74,12 +74,12 @@ fn config(batches: usize, slack: f64, ckpt: usize) -> IolapConfig {
     c
 }
 
-/// Run to completion, checking every batch against the offline oracle on
-/// the scaled prefix. Returns the finished driver (for metrics / fire
-/// counts) and the number of batches that recovered.
-fn run_exact(cat: &Catalog, config: IolapConfig) -> (IolapDriver, usize) {
+/// Run `sql` to completion, checking every batch against the offline
+/// oracle on the scaled prefix. Returns the finished driver (for metrics /
+/// fire counts) and every batch's report.
+fn run_sql_exact(sql: &str, cat: &Catalog, config: IolapConfig) -> (IolapDriver, Vec<BatchReport>) {
     let registry = FunctionRegistry::with_builtins();
-    let pq = plan_sql(NESTED_SQL, cat, &registry).unwrap();
+    let pq = plan_sql(sql, cat, &registry).unwrap();
     let stream = cat.get("t").unwrap();
     let parts = BatchedRelation::partition(
         &stream,
@@ -88,13 +88,10 @@ fn run_exact(cat: &Catalog, config: IolapConfig) -> (IolapDriver, usize) {
         config.partition_mode,
     );
     let mut driver = IolapDriver::from_plan(&pq, cat, "t", config).unwrap();
-    let mut recoveries = 0;
-    let mut i = 0;
+    let mut reports = Vec::new();
     while let Some(step) = driver.step() {
         let report = step.unwrap();
-        if report.recovered {
-            recoveries += 1;
-        }
+        let i = report.batch;
         let prefix = parts.union_through(i);
         let m = parts.scale_after(i);
         let mut oc = cat.clone();
@@ -116,8 +113,16 @@ fn run_exact(cat: &Catalog, config: IolapConfig) -> (IolapDriver, usize) {
             report.result.relation,
             expected
         );
-        i += 1;
+        reports.push(report);
     }
+    (driver, reports)
+}
+
+/// [`run_sql_exact`] on [`NESTED_SQL`], returning the number of batches
+/// that recovered instead of the reports.
+fn run_exact(cat: &Catalog, config: IolapConfig) -> (IolapDriver, usize) {
+    let (driver, reports) = run_sql_exact(NESTED_SQL, cat, config);
+    let recoveries = reports.iter().filter(|r| r.recovered).count();
     (driver, recoveries)
 }
 
@@ -203,37 +208,7 @@ fn cascading_mid_replay_failure_triggers_bounded_re_recovery() {
                 },
             ),
     );
-    let registry = FunctionRegistry::with_builtins();
-    let pq = plan_sql(two_pred_sql, &cat, &registry).unwrap();
-    let stream = cat.get("t").unwrap();
-    let parts = BatchedRelation::partition(&stream, cfg.num_batches, cfg.seed, cfg.partition_mode);
-    let mut driver = IolapDriver::from_plan(&pq, &cat, "t", cfg).unwrap();
-    let mut i = 0;
-    while let Some(step) = driver.step() {
-        let report = step.unwrap();
-        let prefix = parts.union_through(i);
-        let m = parts.scale_after(i);
-        let mut oc = cat.clone();
-        oc.register(
-            "t",
-            Relation::new(
-                prefix.schema().clone(),
-                prefix
-                    .rows()
-                    .iter()
-                    .map(|r| Row::with_mult(r.values.to_vec(), r.mult * m))
-                    .collect(),
-            ),
-        );
-        let expected = execute(&pq.plan, &oc).unwrap();
-        assert!(
-            report.result.relation.approx_eq(&expected, 1e-6),
-            "batch {i} mismatch under cascading faults\niOLAP:\n{}\noracle:\n{}",
-            report.result.relation,
-            expected
-        );
-        i += 1;
-    }
+    let (driver, _) = run_sql_exact(two_pred_sql, &cat, cfg);
     assert_eq!(fires_for(&driver, "fail_range"), 2);
     assert_eq!(
         driver.total_failures(),
@@ -249,9 +224,8 @@ fn cascading_mid_replay_failure_triggers_bounded_re_recovery() {
 #[test]
 fn forced_failure_with_sparse_checkpoints_stays_exact() {
     // Interval 3: the recovery target rarely has a same-batch checkpoint,
-    // so the replay must start at the *checkpoint's* successor batch (the
-    // old `restored_batch` ignored its argument, which this exercises
-    // end-to-end).
+    // so the replay must start at the *checkpoint's* successor batch, not
+    // at the target.
     let cat = stationary_catalog(300, 13);
     let cfg = config(10, 2.0, 3).fault_plan(FaultPlan::new(7).with(
         5,
@@ -325,11 +299,104 @@ fn deref_panic_is_recovered() {
     let (driver, recoveries) = run_exact(&cat, cfg);
     assert_eq!(fires_for(&driver, "deref_panic"), 1);
     assert!(recoveries >= 1);
+    assert!(
+        driver.metrics().get("recovery.error_replays") >= 1,
+        "the panic must buy an error replay"
+    );
+}
+
+#[test]
+fn publish_panic_rolls_back_and_replays() {
+    // On a flat query the only deref of a published aggregate happens at
+    // publish time, so the injected panic lands in the sink's render. A
+    // panicking publish takes the one rollback path: restore, replay the
+    // batch, save and publish again.
+    let cat = stationary_catalog(300, 17);
+    let cfg = config(10, 2.0, 1).fault_plan(FaultPlan::new(7).with(4, FaultKind::DerefPanic));
+    let (driver, reports) = run_sql_exact("SELECT AVG(x), SUM(y) FROM t", &cat, cfg);
+    assert_eq!(fires_for(&driver, "deref_panic"), 1);
+    assert!(
+        reports[4].recovered,
+        "the panicked batch must report recovery"
+    );
+    assert!(
+        driver.metrics().get("recovery.error_replays") >= 1,
+        "a publish panic must roll back like an operator error"
+    );
+}
+
+/// 400 stationary rows in four groups `g`, for per-group subqueries.
+fn grouped_catalog(n: usize, seed: u64) -> Catalog {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("g", DataType::Int),
+        ("x", DataType::Float),
+        ("y", DataType::Float),
+    ]);
+    let rows = (0..n)
+        .map(|i| {
+            vec![
+                Value::Int(i as i64),
+                Value::Int((i % 4) as i64),
+                Value::Float(rng.gen::<f64>() * 50.0),
+                Value::Float(rng.gen::<f64>() * 100.0),
+            ]
+        })
+        .collect();
+    let mut c = Catalog::new();
+    c.register("t", Relation::from_values(schema, rows));
+    c
+}
+
+#[test]
+fn failures_past_the_depth_budget_degrade_and_stay_exact() {
+    // Six forced failures at one batch on a query with one pruning range
+    // per group: each pass flips one live range, so the cascade outlasts
+    // the recovery depth budget and the controller must degrade — bar the
+    // offenders and recompute the prefix from the initial checkpoint.
+    let sql = "SELECT SUM(y) FROM t WHERE x > (SELECT AVG(t2.x) FROM t t2 WHERE t2.g = t.g)";
+    let cat = grouped_catalog(400, 24);
+    let fail = FaultKind::FailRange {
+        agg: None,
+        column: None,
+    };
+    let plan = (0..6).fold(FaultPlan::new(7), |p, _| p.with(4, fail.clone()));
+    let (driver, _) = run_sql_exact(sql, &cat, config(10, 2.0, 1).fault_plan(plan));
     let m = driver.metrics();
     assert!(
-        m.get("recovery.error_replays") + m.get("recovery.publish_retries") >= 1,
-        "the panic must surface either mid-process (error replay) or mid-publish (retry)"
+        m.get("recovery.degraded") >= 1,
+        "the depth budget must run out"
     );
+    assert!(m.get("recovery.cascades") >= 1);
+}
+
+#[test]
+fn error_and_range_failure_share_one_depth_budget() {
+    // A panicking fold and a forced range failure armed at one batch, in
+    // both plan orders: the panic buys an error replay, the failure lands
+    // mid-replay and cascades into a second replay of the same batch.
+    let fail = FaultKind::FailRange {
+        agg: None,
+        column: None,
+    };
+    for order in [
+        [FaultKind::WorkerPanic, fail.clone()],
+        [fail.clone(), FaultKind::WorkerPanic],
+    ] {
+        let cat = stationary_catalog(300, 11);
+        let plan = order
+            .iter()
+            .fold(FaultPlan::new(7), |p, k| p.with(4, k.clone()));
+        let (_, reports) = run_sql_exact(NESTED_SQL, &cat, config(10, 2.0, 1).fault_plan(plan));
+        let m = &reports[4].metrics;
+        let counts = (
+            m.get("recovery.error_replays"),
+            m.get("recovery.replays"),
+            m.get("recovery.cascades"),
+        );
+        assert_eq!(counts, (1, 2, 1), "order {order:?}");
+    }
 }
 
 #[test]

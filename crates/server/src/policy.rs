@@ -24,7 +24,8 @@ pub enum StopPolicy {
     /// half-width is `<= target` (e.g. `0.05` = ±5%). `confidence` records
     /// the interval level of the contract and must match the driver's
     /// `IolapConfig::confidence` — the bootstrap intervals are computed at
-    /// the driver's level, not recomputed here. A batch with *no* error
+    /// the driver's level, not recomputed here, so the `submit` op rejects
+    /// a mismatch as `bad_request`. A batch with *no* error
     /// estimates (fully deterministic result, or estimate exactly zero →
     /// infinite relative width) never satisfies the target, so degenerate
     /// results cannot fake an accuracy contract.

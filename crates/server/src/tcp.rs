@@ -86,6 +86,13 @@ pub fn spec_from_request(req: &JVal) -> SessionSpec {
     spec
 }
 
+/// A `relative_ci` contract is judged on the driver's bootstrap intervals,
+/// so its confidence level must be the one the driver computes them at.
+fn confidence_matches(driver: &IolapDriver, spec: &SessionSpec) -> bool {
+    !matches!(spec.policy, crate::StopPolicy::RelativeCI { confidence, .. }
+        if confidence != driver.config().confidence)
+}
+
 fn err_response(kind: &str, msg: &str) -> String {
     JVal::obj(vec![
         ("ok", JVal::Bool(false)),
@@ -196,6 +203,10 @@ pub fn handle_request(
     match op {
         "submit" => match factory(&req) {
             Err(msg) => err_response("bad_request", &msg),
+            Ok((driver, spec)) if !confidence_matches(&driver, &spec) => {
+                let level = driver.config().confidence;
+                err_response("bad_request", &format!("policy confidence must be {level}"))
+            }
             Ok((driver, spec)) => match server.submit_with_origin(driver, spec, Some(line)) {
                 Ok(handle) => {
                     let id = handle.id();

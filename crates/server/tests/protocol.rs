@@ -131,6 +131,36 @@ fn dispatcher_rejects_malformed_and_unknown() {
     }
 }
 
+/// A `relative_ci` contract at a confidence level the driver does not
+/// compute its intervals at is refused and admits no session; the
+/// driver's own level (0.95) is accepted.
+#[test]
+fn submit_rejects_relative_ci_at_a_foreign_confidence() {
+    let server = Server::new(ServerConfig::with_workers(1));
+    let f = factory();
+    let mut sessions = BTreeMap::new();
+    let submit = |confidence: f64| {
+        format!(
+            r#"{{"op":"submit","query":"C3","policy":{{"kind":"relative_ci","target":0.05,"confidence":{confidence}}}}}"#
+        )
+    };
+    let resp = handle_request(&server, &f, &mut sessions, &submit(0.99));
+    let v = parse(&resp).unwrap();
+    assert_eq!(v.get("ok").and_then(JVal::as_bool), Some(false), "{resp}");
+    assert_eq!(v.get("kind").and_then(JVal::as_str), Some("bad_request"));
+    assert_eq!(
+        server.stats().admitted,
+        0,
+        "a refused contract admits nothing"
+    );
+    assert!(sessions.is_empty());
+
+    let resp = handle_request(&server, &f, &mut sessions, &submit(0.95));
+    let v = parse(&resp).unwrap();
+    assert_eq!(v.get("ok").and_then(JVal::as_bool), Some(true), "{resp}");
+    assert_eq!(server.stats().admitted, 1);
+}
+
 /// A request nested far past the parser's bound is a `bad_json` reply on
 /// this connection, not a stack overflow that aborts every session on the
 /// server; nesting at the bound still parses.
