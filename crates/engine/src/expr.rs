@@ -218,7 +218,19 @@ impl fmt::Debug for Expr {
             Expr::Or(a, b) => write!(f, "({a:?} OR {b:?})"),
             Expr::Not(e) => write!(f, "NOT {e:?}"),
             Expr::Neg(e) => write!(f, "-{e:?}"),
-            Expr::Case { .. } => write!(f, "CASE…END"),
+            Expr::Case {
+                when_then,
+                else_expr,
+            } => {
+                write!(f, "CASE")?;
+                for (c, v) in when_then {
+                    write!(f, " WHEN {c:?} THEN {v:?}")?;
+                }
+                if let Some(e) = else_expr {
+                    write!(f, " ELSE {e:?}")?;
+                }
+                write!(f, " END")
+            }
             Expr::Like { expr, pattern } => write!(f, "({expr:?} LIKE '{pattern}')"),
             Expr::Between { expr, low, high } => {
                 write!(f, "({expr:?} BETWEEN {low:?} AND {high:?})")
@@ -662,6 +674,20 @@ mod tests {
             else_expr: Some(Box::new(Expr::Lit(Value::Int(2)))),
         };
         assert_eq!(e.eval(&row(vec![]), &ctx()).unwrap(), Value::Int(2));
+    }
+
+    #[test]
+    fn debug_shows_case_arms() {
+        let e = Expr::Case {
+            when_then: vec![(Expr::Col(0), Expr::Lit(Value::Int(1)))],
+            else_expr: Some(Box::new(Expr::Lit(Value::Int(2)))),
+        };
+        assert_eq!(format!("{e:?}"), "CASE WHEN #0 THEN 1 ELSE 2 END");
+        let no_else = Expr::Case {
+            when_then: vec![(Expr::Col(1), Expr::Col(2))],
+            else_expr: None,
+        };
+        assert_eq!(format!("{no_else:?}"), "CASE WHEN #1 THEN #2 END");
     }
 
     #[test]
