@@ -9,7 +9,10 @@ use iolap_baselines::HdaDriver;
 use iolap_core::{BatchReport, IolapConfig, IolapDriver};
 use iolap_engine::plan_sql;
 use iolap_relation::PartitionMode;
-use iolap_workloads::{conviva_catalog, conviva_query, conviva_registry, tpch_catalog, tpch_query};
+use iolap_workloads::{
+    conviva_catalog, conviva_queries, conviva_query, conviva_registry, tpch_catalog, tpch_queries,
+    tpch_query,
+};
 use std::fmt::Write as _;
 
 fn config(batches: usize) -> IolapConfig {
@@ -336,6 +339,43 @@ fn check_golden(name: &str, got: &str) {
             got.lines().nth(i).unwrap_or("")
         );
     }
+}
+
+/// Plan-shape golden: every TPC-H and Conviva workload query (SBI
+/// included), planned from SQL. Each entry holds the query id, the output
+/// names, the root schema's types and `plan.explain()`, so a planner change
+/// that moves any operator, key or expression is a reviewed change. Plans
+/// depend only on schemas, so tiny catalogs suffice.
+#[test]
+fn plans_match_the_shape_golden() {
+    let tpch = tpch_catalog(0.01, 1);
+    let conviva = conviva_catalog(10, 1);
+    let tpch_registry = iolap_engine::FunctionRegistry::with_builtins();
+    let conviva_registry = conviva_registry();
+    let queries = tpch_queries()
+        .into_iter()
+        .map(|q| (q, &tpch, &tpch_registry))
+        .chain(
+            conviva_queries()
+                .into_iter()
+                .map(|q| (q, &conviva, &conviva_registry)),
+        );
+    let mut out = String::new();
+    for (q, cat, registry) in queries {
+        let pq = plan_sql(q.sql, cat, registry).unwrap();
+        let types: Vec<_> = pq
+            .plan
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.data_type)
+            .collect();
+        writeln!(out, "== {}", q.id).unwrap();
+        writeln!(out, "names: {:?}", pq.output_names).unwrap();
+        writeln!(out, "types: {types:?}").unwrap();
+        out.push_str(&pq.plan.explain());
+    }
+    check_golden("plan-shapes.golden", &out);
 }
 
 /// Trace schema golden: C2 on a pinned 300-row Conviva catalog with the
