@@ -356,140 +356,60 @@ impl Expr {
         Ok(truthy(&self.eval(row, ctx)?))
     }
 
-    /// Collect all referenced input columns.
-    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Col(i) => out.push(*i),
-            Expr::Lit(_) => {}
-            Expr::Arith { left, right, .. } | Expr::Cmp { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.referenced_columns(out);
-                b.referenced_columns(out);
-            }
-            Expr::Not(e) | Expr::Neg(e) => e.referenced_columns(out),
-            Expr::Case {
-                when_then,
-                else_expr,
-            } => {
-                for (c, v) in when_then {
-                    c.referenced_columns(out);
-                    v.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Like { expr, .. } => expr.referenced_columns(out),
-            Expr::Between { expr, low, high } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
-            }
-            Expr::Udf { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
-        }
-    }
-
-    /// Collect the names of all nondeterministic UDFs invoked anywhere in
-    /// this expression (per [`ScalarUdf::deterministic`]). Used by the
-    /// static plan verifier to enforce the §3.3 deterministic-key rule.
-    pub fn nondeterministic_udfs(&self, out: &mut Vec<String>) {
+    /// Visit this expression and all its descendants, pre-order, children
+    /// left to right.
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
         match self {
             Expr::Col(_) | Expr::Lit(_) => {}
             Expr::Arith { left, right, .. } | Expr::Cmp { left, right, .. } => {
-                left.nondeterministic_udfs(out);
-                right.nondeterministic_udfs(out);
+                left.walk(f);
+                right.walk(f);
             }
             Expr::And(a, b) | Expr::Or(a, b) => {
-                a.nondeterministic_udfs(out);
-                b.nondeterministic_udfs(out);
+                a.walk(f);
+                b.walk(f);
             }
-            Expr::Not(e) | Expr::Neg(e) => e.nondeterministic_udfs(out),
+            Expr::Not(e) | Expr::Neg(e) | Expr::Like { expr: e, .. } => e.walk(f),
             Expr::Case {
                 when_then,
                 else_expr,
             } => {
                 for (c, v) in when_then {
-                    c.nondeterministic_udfs(out);
-                    v.nondeterministic_udfs(out);
+                    c.walk(f);
+                    v.walk(f);
                 }
                 if let Some(e) = else_expr {
-                    e.nondeterministic_udfs(out);
+                    e.walk(f);
                 }
             }
-            Expr::Like { expr, .. } => expr.nondeterministic_udfs(out),
             Expr::Between { expr, low, high } => {
-                expr.nondeterministic_udfs(out);
-                low.nondeterministic_udfs(out);
-                high.nondeterministic_udfs(out);
+                expr.walk(f);
+                low.walk(f);
+                high.walk(f);
             }
-            Expr::Udf { func, args } => {
-                if !func.deterministic() {
-                    out.push(func.name().to_string());
-                }
-                for a in args {
-                    a.nondeterministic_udfs(out);
-                }
-            }
+            Expr::Udf { args, .. } => args.iter().for_each(|a| a.walk(f)),
         }
     }
 
-    /// Remap column indices (used when splicing expressions across operator
-    /// boundaries, e.g. pushing predicates through projections).
-    pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> Expr {
-        match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Arith { op, left, right } => Expr::Arith {
-                op: *op,
-                left: Box::new(left.remap_columns(map)),
-                right: Box::new(right.remap_columns(map)),
-            },
-            Expr::Cmp { op, left, right } => Expr::Cmp {
-                op: *op,
-                left: Box::new(left.remap_columns(map)),
-                right: Box::new(right.remap_columns(map)),
-            },
-            Expr::And(a, b) => Expr::And(
-                Box::new(a.remap_columns(map)),
-                Box::new(b.remap_columns(map)),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                Box::new(a.remap_columns(map)),
-                Box::new(b.remap_columns(map)),
-            ),
-            Expr::Not(e) => Expr::Not(Box::new(e.remap_columns(map))),
-            Expr::Neg(e) => Expr::Neg(Box::new(e.remap_columns(map))),
-            Expr::Case {
-                when_then,
-                else_expr,
-            } => Expr::Case {
-                when_then: when_then
-                    .iter()
-                    .map(|(c, v)| (c.remap_columns(map), v.remap_columns(map)))
-                    .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.remap_columns(map))),
-            },
-            Expr::Like { expr, pattern } => Expr::Like {
-                expr: Box::new(expr.remap_columns(map)),
-                pattern: pattern.clone(),
-            },
-            Expr::Between { expr, low, high } => Expr::Between {
-                expr: Box::new(expr.remap_columns(map)),
-                low: Box::new(low.remap_columns(map)),
-                high: Box::new(high.remap_columns(map)),
-            },
-            Expr::Udf { func, args } => Expr::Udf {
-                func: func.clone(),
-                args: args.iter().map(|a| a.remap_columns(map)).collect(),
-            },
-        }
+    /// Collect all referenced input columns, in [`Expr::walk`] order.
+    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+        self.walk(&mut |e| {
+            if let Expr::Col(i) = e {
+                out.push(*i);
+            }
+        });
+    }
+
+    /// Collect the names of all nondeterministic UDFs invoked anywhere in
+    /// this expression (per [`ScalarUdf::deterministic`]), in
+    /// [`Expr::walk`] order. Used by the static plan verifier to enforce
+    /// the §3.3 deterministic-key rule.
+    pub fn nondeterministic_udfs(&self, out: &mut Vec<String>) {
+        self.walk(&mut |e| match e {
+            Expr::Udf { func, .. } if !func.deterministic() => out.push(func.name().to_string()),
+            _ => {}
+        });
     }
 }
 
@@ -757,15 +677,16 @@ mod tests {
     }
 
     #[test]
-    fn remap_columns_rewrites_refs() {
-        let e = Expr::Arith {
-            op: ArithOp::Mul,
-            left: Box::new(Expr::Col(0)),
-            right: Box::new(Expr::Col(2)),
+    fn referenced_columns_follow_the_walk() {
+        let e = Expr::Case {
+            when_then: vec![(Expr::Col(3), Expr::Col(1))],
+            else_expr: Some(Box::new(Expr::Like {
+                expr: Box::new(Expr::Col(2)),
+                pattern: "x%".into(),
+            })),
         };
-        let m = e.remap_columns(&|i| i + 10);
         let mut cols = Vec::new();
-        m.referenced_columns(&mut cols);
-        assert_eq!(cols, vec![10, 12]);
+        e.referenced_columns(&mut cols);
+        assert_eq!(cols, vec![3, 1, 2]);
     }
 }

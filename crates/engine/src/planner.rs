@@ -21,7 +21,6 @@ use crate::plan::{AggCall, Plan};
 use crate::registry::FunctionRegistry;
 use iolap_relation::{Catalog, DataType, Field, Schema, SchemaError, Value};
 use iolap_sql::ast::{self, BinaryOp, Query, SelectBlock, SelectItem, UnaryOp};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Planner errors.
@@ -143,12 +142,7 @@ impl<'a> Planner<'a> {
             let keys = q
                 .order_by
                 .iter()
-                .map(|o| {
-                    Ok((
-                        self.compile_expr(&o.expr, &out_schema, &HashMap::new())?,
-                        o.asc,
-                    ))
-                })
+                .map(|o| Ok((self.compile_expr(&o.expr, &out_schema)?, o.asc)))
                 .collect::<Result<Vec<_>, PlanError>>()?;
             plan = Plan::Sort {
                 input: Box::new(plan),
@@ -205,7 +199,6 @@ impl<'a> Planner<'a> {
             split_and(w, &mut conjuncts);
         }
 
-        let mut pushdown: Vec<ast::Expr> = Vec::new(); // single-table
         let mut equi: Vec<ast::Expr> = Vec::new(); // cross-table equi
         let mut residual: Vec<ast::Expr> = Vec::new(); // other local
         let mut with_subs: Vec<ast::Expr> = Vec::new(); // contain subqueries
@@ -216,47 +209,31 @@ impl<'a> Planner<'a> {
                 with_subs.push(c);
                 continue;
             }
-            match self.try_compile(&c, &combined) {
+            match self.compile_expr(&c, &combined) {
                 Ok(_) => {
-                    // Resolves locally: single-table pushdown?
+                    // Resolves against one table: push it below the joins.
                     let single = table_schemas
                         .iter()
-                        .position(|s| self.try_compile(&c, s).is_ok());
-                    if let Some(_i) = single {
-                        pushdown.push(c);
+                        .enumerate()
+                        .find_map(|(i, s)| Some((i, self.compile_expr(&c, s).ok()?)));
+                    if let Some((i, predicate)) = single {
+                        wrap(&mut table_plans[i], |input| Plan::Select {
+                            input,
+                            predicate,
+                        });
                     } else if is_equi(&c) {
                         equi.push(c);
                     } else {
                         residual.push(c);
                     }
                 }
-                Err(PlanError::Schema(SchemaError::NotFound(_))) => {
+                Err(e @ PlanError::Schema(SchemaError::NotFound(_))) => {
                     // Try correlated equi-predicate: local = outer.
-                    let outer_schema =
-                        outer.ok_or_else(|| self.try_compile(&c, &combined).unwrap_err())?;
-                    let (local_ast, outer_key) =
-                        self.split_correlated(&c, &combined, outer_schema)?;
-                    correlated.push((local_ast, outer_key));
+                    let outer_schema = outer.ok_or(e)?;
+                    correlated.push(self.split_correlated(&c, &combined, outer_schema)?);
                 }
                 Err(e) => return Err(e),
             }
-        }
-
-        // Push single-table predicates below the joins.
-        for c in pushdown {
-            let i = table_schemas
-                .iter()
-                .position(|s| self.try_compile(&c, s).is_ok())
-                .expect("classified as single-table");
-            let pred = self.compile_expr(&c, &table_schemas[i], &HashMap::new())?;
-            let input = std::mem::replace(
-                &mut table_plans[i],
-                Plan::Union { inputs: vec![] }, // placeholder
-            );
-            table_plans[i] = Plan::Select {
-                input: Box::new(input),
-                predicate: pred,
-            };
         }
 
         // ------------------------------------------------------- join tree
@@ -287,18 +264,11 @@ impl<'a> Planner<'a> {
             };
             cum_schema = schema;
         }
-        // Unconsumed equi conjuncts (e.g. referencing 3 tables) filter on top.
+        // Unconsumed equi conjuncts (e.g. referencing 3 tables) filter on
+        // top, then the conjuncts that carry subqueries.
         residual.extend(equi);
-        for c in &residual {
-            let pred = self.compile_expr(c, &cum_schema, &HashMap::new())?;
-            plan = Plan::Select {
-                input: Box::new(plan),
-                predicate: pred,
-            };
-        }
-
-        // -------------------------------------------------- WHERE subqueries
-        let (mut plan, cum_schema) = self.attach_subquery_conjuncts(plan, cum_schema, with_subs)?;
+        residual.extend(with_subs);
+        let (mut plan, cum_schema) = self.apply_conjuncts(plan, cum_schema, residual)?;
 
         // ----------------------------------------------- aggregation + SELECT
         // Expand wildcards against the FROM schema (not subquery columns).
@@ -325,7 +295,7 @@ impl<'a> Planner<'a> {
         let corr_outer: Vec<Expr> = correlated.into_iter().map(|(_, o)| o).collect();
         let corr_width = corr_group.len();
 
-        let mut agg_calls: Vec<(String, ast::Expr, AggKind, bool)> = Vec::new(); // (key, arg, kind, distinct)
+        let mut agg_calls: Vec<(String, ast::Expr, AggKind)> = Vec::new(); // (key, arg, kind)
         for (e, _) in &items {
             self.collect_aggregates(e, &mut agg_calls)?;
         }
@@ -344,7 +314,7 @@ impl<'a> Planner<'a> {
             let mut fields = Vec::new();
             let mut names = Vec::new();
             for (e, alias) in &items {
-                let pe = self.compile_expr(e, &cum_schema, &HashMap::new())?;
+                let pe = self.compile_expr(e, &cum_schema)?;
                 let name = alias.clone().unwrap_or_else(|| display_name(e));
                 fields.push(Field::new(name.clone(), infer_type(&pe, &cum_schema)));
                 names.push(name);
@@ -392,12 +362,12 @@ impl<'a> Planner<'a> {
         let mut pre_exprs = Vec::new();
         let mut pre_fields = Vec::new();
         for (i, g) in group_asts.iter().enumerate() {
-            let pe = self.compile_expr(g, &cum_schema, &HashMap::new())?;
+            let pe = self.compile_expr(g, &cum_schema)?;
             pre_fields.push(Field::new(format!("__g{i}"), infer_type(&pe, &cum_schema)));
             pre_exprs.push(pe);
         }
-        for (i, (_, arg, _, _)) in agg_calls.iter().enumerate() {
-            let pe = self.compile_expr(arg, &cum_schema, &HashMap::new())?;
+        for (i, (_, arg, _)) in agg_calls.iter().enumerate() {
+            let pe = self.compile_expr(arg, &cum_schema)?;
             pre_fields.push(Field::new(
                 format!("__arg{i}"),
                 infer_type(&pe, &cum_schema),
@@ -415,7 +385,7 @@ impl<'a> Planner<'a> {
         let g = group_asts.len();
         let mut agg_fields: Vec<Field> = (0..g).map(|i| pre_schema.field(i).clone()).collect();
         let mut calls = Vec::new();
-        for (i, (_, _, kind, _)) in agg_calls.iter().enumerate() {
+        for (i, (_, _, kind)) in agg_calls.iter().enumerate() {
             let input_ty = pre_schema.field(g + i).data_type;
             agg_fields.push(Field::new(format!("__a{i}"), kind.return_type(input_ty)));
             calls.push(AggCall {
@@ -437,32 +407,17 @@ impl<'a> Planner<'a> {
         let mut post_schema = agg_schema;
 
         // Substitution table for post-aggregation expression rewriting.
-        let agg_keys: Vec<String> = agg_calls.iter().map(|(k, _, _, _)| k.clone()).collect();
+        let agg_keys: Vec<String> = agg_calls.into_iter().map(|(k, _, _)| k).collect();
 
-        // HAVING: may itself contain uncorrelated scalar subqueries.
+        // HAVING: plain conjuncts filter first, then those with subqueries.
         if let Some(h) = &b.having {
-            let mut having_conjuncts = Vec::new();
-            split_and(h, &mut having_conjuncts);
-            let mut plain = Vec::new();
-            let mut subs = Vec::new();
-            for c in having_conjuncts {
-                let rewritten = rewrite_post_agg(&c, &group_asts, &agg_keys);
-                if contains_subquery(&rewritten) {
-                    subs.push(rewritten);
-                } else {
-                    plain.push(rewritten);
-                }
+            let mut conjuncts = Vec::new();
+            split_and(h, &mut conjuncts);
+            for c in &mut conjuncts {
+                rewrite_post_agg(c, &group_asts, &agg_keys);
             }
-            for c in &plain {
-                let pred = self.compile_expr(c, &post_schema, &HashMap::new())?;
-                plan = Plan::Select {
-                    input: Box::new(plan),
-                    predicate: pred,
-                };
-            }
-            let (p2, s2) = self.attach_subquery_conjuncts(plan, post_schema, subs)?;
-            plan = p2;
-            post_schema = s2;
+            conjuncts.sort_by_key(contains_subquery);
+            (plan, post_schema) = self.apply_conjuncts(plan, post_schema, conjuncts)?;
         }
 
         plan = self.apply_order_limit(
@@ -481,8 +436,9 @@ impl<'a> Planner<'a> {
             .collect();
         let mut names: Vec<String> = Vec::new();
         for (e, alias) in &items {
-            let rewritten = rewrite_post_agg(e, &group_asts, &agg_keys);
-            let pe = self.compile_expr(&rewritten, &post_schema, &HashMap::new())?;
+            let mut rewritten = e.clone();
+            rewrite_post_agg(&mut rewritten, &group_asts, &agg_keys);
+            let pe = self.compile_expr(&rewritten, &post_schema)?;
             let name = alias.clone().unwrap_or_else(|| display_name(e));
             fields.push(Field::new(name.clone(), infer_type(&pe, &post_schema)));
             names.push(name);
@@ -526,12 +482,9 @@ impl<'a> Planner<'a> {
         for o in order {
             let mut ast_expr = substitute_alias(&o.expr, items);
             if let Some((groups, agg_keys)) = agg_rewrite {
-                ast_expr = rewrite_post_agg(&ast_expr, groups, agg_keys);
+                rewrite_post_agg(&mut ast_expr, groups, agg_keys);
             }
-            keys.push((
-                self.compile_expr(&ast_expr, schema, &HashMap::new())?,
-                o.asc,
-            ));
+            keys.push((self.compile_expr(&ast_expr, schema)?, o.asc));
         }
         Ok(Plan::Sort {
             input: Box::new(plan),
@@ -540,16 +493,16 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Attach subquery-bearing conjuncts to `plan`: joins for scalar
-    /// subqueries, semi-joins for `IN`, then residual filters.
-    fn attach_subquery_conjuncts(
+    /// Filter `plan` by `conjuncts`, in order. A whole-conjunct
+    /// `IN (SELECT …)` becomes a semi-join; any other conjunct first has its
+    /// scalar subqueries joined in by [`Planner::plan_subqueries`].
+    fn apply_conjuncts(
         &mut self,
         mut plan: Plan,
-        mut cum_schema: Schema,
+        mut schema: Schema,
         conjuncts: Vec<ast::Expr>,
     ) -> Result<(Plan, Schema), PlanError> {
-        for c in conjuncts {
-            // Whole-conjunct IN (SELECT …) becomes a semi-join.
+        for mut c in conjuncts {
             if let ast::Expr::InSubquery { expr, subquery } = &c {
                 let sub = self.plan(subquery)?;
                 if sub.output_names.len() != 1 {
@@ -557,7 +510,7 @@ impl<'a> Planner<'a> {
                         "IN subquery must produce exactly one column".into(),
                     ));
                 }
-                let probe = self.compile_expr(expr, &cum_schema, &HashMap::new())?;
+                let probe = self.compile_expr(expr, &schema)?;
                 plan = Plan::SemiJoin {
                     left: Box::new(plan),
                     right: Box::new(sub.plan),
@@ -566,147 +519,89 @@ impl<'a> Planner<'a> {
                 };
                 continue;
             }
-            // Scalar subqueries inside a comparison: join each in, then
-            // filter with the rewritten predicate.
-            let (rewritten, attachments) = self.extract_scalar_subqueries(&c)?;
-            for (marker, sub_q) in attachments {
-                let sub = self.plan_block_ordered(&sub_q.branches[0], Some(&cum_schema), None)?;
-                if sub_q.branches.len() != 1 {
-                    return Err(PlanError::Unsupported(
-                        "UNION inside scalar subquery".into(),
-                    ));
-                }
-                let value_cols = sub.names.len();
-                if value_cols != 1 {
-                    return Err(PlanError::Invalid(
-                        "scalar subquery must produce exactly one column".into(),
-                    ));
-                }
-                if sub.corr_width == 0 && !sub.single_row {
-                    return Err(PlanError::Unsupported(
-                        "uncorrelated scalar subquery must be a global aggregate".into(),
-                    ));
-                }
-                // Rename the sub output so the marker resolves: corr cols keep
-                // synthetic names; the value column becomes `__sub.cN`.
-                let mut fields: Vec<Field> = sub
-                    .plan
-                    .schema()
-                    .fields()
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        if i == sub.corr_width {
-                            Field::qualified("__sub", marker.clone(), f.data_type)
-                        } else {
-                            Field::new(format!("__corr_{marker}_{i}"), f.data_type)
-                        }
-                    })
-                    .collect();
-                // (exactly corr_width + 1 columns)
-                fields.truncate(sub.corr_width + 1);
-                let sub_schema = Schema::new(fields);
-                let sub_plan = reschema(sub.plan, sub_schema.clone());
-                let right_keys: Vec<Expr> = (0..sub.corr_width).map(Expr::Col).collect();
-                let schema = cum_schema.join(&sub_schema);
-                plan = Plan::Join {
-                    left: Box::new(plan),
-                    right: Box::new(sub_plan),
-                    left_keys: sub.corr_outer,
-                    right_keys,
-                    schema: schema.clone(),
-                };
-                cum_schema = schema;
-            }
-            let pred = self.compile_expr(&rewritten, &cum_schema, &HashMap::new())?;
+            self.plan_subqueries(&mut c, &mut plan, &mut schema)?;
+            let predicate = self.compile_expr(&c, &schema)?;
             plan = Plan::Select {
                 input: Box::new(plan),
-                predicate: pred,
+                predicate,
             };
         }
-        Ok((plan, cum_schema))
+        Ok((plan, schema))
     }
 
-    /// Replace every `ScalarSubquery` in `e` with a marker column
-    /// `__sub.cN`, returning the rewritten expression and the extracted
-    /// subqueries.
-    fn extract_scalar_subqueries(
+    /// One pre-order walk over `e` that plans its scalar subqueries. Each
+    /// is planned as a block against `schema` (so it may correlate with
+    /// it), joined into `plan` — on its correlation keys, or as a cross
+    /// join when uncorrelated — and replaced in `e` by a reference to the
+    /// joined value column, `__sub.cN`.
+    fn plan_subqueries(
         &mut self,
-        e: &ast::Expr,
-    ) -> Result<(ast::Expr, Vec<(String, Query)>), PlanError> {
-        let mut out = Vec::new();
-        let rewritten = self.extract_rec(e, &mut out)?;
-        Ok((rewritten, out))
-    }
-
-    fn extract_rec(
-        &mut self,
-        e: &ast::Expr,
-        out: &mut Vec<(String, Query)>,
-    ) -> Result<ast::Expr, PlanError> {
-        Ok(match e {
-            ast::Expr::ScalarSubquery(q) => {
-                let marker = format!("c{}", self.next_sub_id);
-                self.next_sub_id += 1;
-                out.push((marker.clone(), (**q).clone()));
-                ast::Expr::Column {
-                    qualifier: Some("__sub".into()),
-                    name: marker,
-                }
-            }
+        e: &mut ast::Expr,
+        plan: &mut Plan,
+        schema: &mut Schema,
+    ) -> Result<(), PlanError> {
+        let q = match e {
+            ast::Expr::ScalarSubquery(q) => q,
             ast::Expr::InSubquery { .. } => {
                 return Err(PlanError::Unsupported(
                     "IN (SELECT …) must be a top-level conjunct".into(),
                 ))
             }
-            ast::Expr::Unary { op, expr } => ast::Expr::Unary {
-                op: *op,
-                expr: Box::new(self.extract_rec(expr, out)?),
-            },
-            ast::Expr::Binary { left, op, right } => ast::Expr::Binary {
-                left: Box::new(self.extract_rec(left, out)?),
-                op: *op,
-                right: Box::new(self.extract_rec(right, out)?),
-            },
-            ast::Expr::Function {
-                name,
-                args,
-                distinct,
-            } => ast::Expr::Function {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|a| self.extract_rec(a, out))
-                    .collect::<Result<_, _>>()?,
-                distinct: *distinct,
-            },
-            ast::Expr::Between { expr, low, high } => ast::Expr::Between {
-                expr: Box::new(self.extract_rec(expr, out)?),
-                low: Box::new(self.extract_rec(low, out)?),
-                high: Box::new(self.extract_rec(high, out)?),
-            },
-            ast::Expr::Case {
-                when_then,
-                else_expr,
-            } => ast::Expr::Case {
-                when_then: when_then
-                    .iter()
-                    .map(|(c, v)| Ok((self.extract_rec(c, out)?, self.extract_rec(v, out)?)))
-                    .collect::<Result<_, PlanError>>()?,
-                else_expr: match else_expr {
-                    Some(x) => Some(Box::new(self.extract_rec(x, out)?)),
-                    None => None,
-                },
-            },
-            other => other.clone(),
-        })
+            _ => return e.try_rewrite_children(|c| self.plan_subqueries(c, plan, schema)),
+        };
+        if q.branches.len() != 1 {
+            return Err(PlanError::Unsupported(
+                "UNION inside scalar subquery".into(),
+            ));
+        }
+        let sub = self.plan_block_ordered(&q.branches[0], Some(schema), None)?;
+        if sub.names.len() != 1 {
+            return Err(PlanError::Invalid(
+                "scalar subquery must produce exactly one column".into(),
+            ));
+        }
+        if sub.corr_width == 0 && !sub.single_row {
+            return Err(PlanError::Unsupported(
+                "uncorrelated scalar subquery must be a global aggregate".into(),
+            ));
+        }
+        // Rename the block's output: correlation columns get synthetic
+        // names, the value column becomes `__sub.cN`.
+        let marker = format!("c{}", self.next_sub_id);
+        self.next_sub_id += 1;
+        let fields = sub.plan.schema().fields().iter().enumerate();
+        let sub_schema = Schema::new(
+            fields
+                .map(|(i, f)| {
+                    if i == sub.corr_width {
+                        Field::qualified("__sub", marker.clone(), f.data_type)
+                    } else {
+                        Field::new(format!("__corr_{marker}_{i}"), f.data_type)
+                    }
+                })
+                .collect(),
+        );
+        let joined = schema.join(&sub_schema);
+        let right = Box::new(reschema(sub.plan, sub_schema));
+        wrap(plan, |left| Plan::Join {
+            left,
+            right,
+            left_keys: sub.corr_outer,
+            right_keys: (0..sub.corr_width).map(Expr::Col).collect(),
+            schema: joined.clone(),
+        });
+        *schema = joined;
+        *e = ast::Expr::Column {
+            qualifier: Some("__sub".into()),
+            name: marker,
+        };
+        Ok(())
     }
 
     /// Split a correlated conjunct `local = outer` (either order) into the
     /// local AST side and the compiled outer key.
     fn split_correlated(
-        &mut self,
+        &self,
         c: &ast::Expr,
         local: &Schema,
         outer: &Schema,
@@ -718,8 +613,8 @@ impl<'a> Planner<'a> {
         } = c
         {
             for (a, b) in [(left, right), (right, left)] {
-                if self.try_compile(a, local).is_ok() {
-                    if let Ok(outer_key) = self.try_compile(b, outer) {
+                if self.compile_expr(a, local).is_ok() {
+                    if let Ok(outer_key) = self.compile_expr(b, outer) {
                         return Ok(((**a).clone(), outer_key));
                     }
                 }
@@ -731,7 +626,7 @@ impl<'a> Planner<'a> {
     }
 
     fn extract_join_keys(
-        &mut self,
+        &self,
         c: &ast::Expr,
         left: &Schema,
         right: &Schema,
@@ -743,7 +638,8 @@ impl<'a> Planner<'a> {
         } = c
         {
             for (x, y) in [(a, b), (b, a)] {
-                if let (Ok(lk), Ok(rk)) = (self.try_compile(x, left), self.try_compile(y, right)) {
+                if let (Ok(lk), Ok(rk)) = (self.compile_expr(x, left), self.compile_expr(y, right))
+                {
                     return Some((lk, rk));
                 }
             }
@@ -751,88 +647,43 @@ impl<'a> Planner<'a> {
         None
     }
 
-    fn try_compile(&mut self, e: &ast::Expr, schema: &Schema) -> Result<Expr, PlanError> {
-        self.compile_expr(e, schema, &HashMap::new())
-    }
-
     /// Collect aggregate calls in `e` (not descending into subqueries),
     /// deduplicated by structural key.
     fn collect_aggregates(
-        &mut self,
+        &self,
         e: &ast::Expr,
-        out: &mut Vec<(String, ast::Expr, AggKind, bool)>,
+        out: &mut Vec<(String, ast::Expr, AggKind)>,
     ) -> Result<(), PlanError> {
-        match e {
-            ast::Expr::Function {
-                name,
-                args,
-                distinct,
-            } => {
-                let kind = if let Some(b) = builtin_agg(name, *distinct) {
-                    Some(AggKind::Builtin(b))
-                } else {
-                    self.registry.udaf(name).map(AggKind::Udaf)
-                };
-                if let Some(kind) = kind {
-                    if args.len() > 1 {
-                        return Err(PlanError::Unsupported(format!(
-                            "aggregate {name} with multiple arguments"
-                        )));
-                    }
-                    let arg = args
-                        .first()
-                        .cloned()
-                        .unwrap_or(ast::Expr::Literal(Value::Int(1)));
-                    let key = agg_key(name, *distinct, &arg);
-                    if !out.iter().any(|(k, _, _, _)| *k == key) {
-                        out.push((key, arg, kind, *distinct));
-                    }
-                    return Ok(());
+        if let ast::Expr::Function {
+            name,
+            args,
+            distinct,
+        } = e
+        {
+            let kind = builtin_agg(name, *distinct)
+                .map(AggKind::Builtin)
+                .or_else(|| self.registry.udaf(name).map(AggKind::Udaf));
+            if let Some(kind) = kind {
+                if args.len() > 1 {
+                    return Err(PlanError::Unsupported(format!(
+                        "aggregate {name} with multiple arguments"
+                    )));
                 }
-                for a in args {
-                    self.collect_aggregates(a, out)?;
+                let arg = agg_arg(args);
+                let key = agg_key(name, *distinct, &arg);
+                if !out.iter().any(|(k, _, _)| *k == key) {
+                    out.push((key, arg, kind));
                 }
-                Ok(())
+                return Ok(());
             }
-            ast::Expr::Unary { expr, .. } => self.collect_aggregates(expr, out),
-            ast::Expr::Binary { left, right, .. } => {
-                self.collect_aggregates(left, out)?;
-                self.collect_aggregates(right, out)
-            }
-            ast::Expr::Between { expr, low, high } => {
-                self.collect_aggregates(expr, out)?;
-                self.collect_aggregates(low, out)?;
-                self.collect_aggregates(high, out)
-            }
-            ast::Expr::Case {
-                when_then,
-                else_expr,
-            } => {
-                for (c, v) in when_then {
-                    self.collect_aggregates(c, out)?;
-                    self.collect_aggregates(v, out)?;
-                }
-                if let Some(x) = else_expr {
-                    self.collect_aggregates(x, out)?;
-                }
-                Ok(())
-            }
-            _ => Ok(()),
         }
+        e.try_visit_children(|c| self.collect_aggregates(c, out))
     }
 
     /// Compile an AST expression against a schema.
-    fn compile_expr(
-        &mut self,
-        e: &ast::Expr,
-        schema: &Schema,
-        subs: &HashMap<String, usize>,
-    ) -> Result<Expr, PlanError> {
+    fn compile_expr(&self, e: &ast::Expr, schema: &Schema) -> Result<Expr, PlanError> {
         Ok(match e {
             ast::Expr::Column { qualifier, name } => {
-                if let Some(idx) = subs.get(name) {
-                    return Ok(Expr::Col(*idx));
-                }
                 let idx = schema
                     .index_of(qualifier.as_deref(), name)
                     .map_err(PlanError::Schema)?;
@@ -840,15 +691,15 @@ impl<'a> Planner<'a> {
             }
             ast::Expr::Literal(v) => Expr::Lit(v.clone()),
             ast::Expr::Unary { op, expr } => {
-                let inner = self.compile_expr(expr, schema, subs)?;
+                let inner = self.compile_expr(expr, schema)?;
                 match op {
                     UnaryOp::Neg => Expr::Neg(Box::new(inner)),
                     UnaryOp::Not => Expr::Not(Box::new(inner)),
                 }
             }
             ast::Expr::Binary { left, op, right } => {
-                let l = Box::new(self.compile_expr(left, schema, subs)?);
-                let r = Box::new(self.compile_expr(right, schema, subs)?);
+                let l = Box::new(self.compile_expr(left, schema)?);
+                let r = Box::new(self.compile_expr(right, schema)?);
                 match op {
                     BinaryOp::Add => Expr::Arith {
                         op: ArithOp::Add,
@@ -923,17 +774,17 @@ impl<'a> Planner<'a> {
                     func,
                     args: args
                         .iter()
-                        .map(|a| self.compile_expr(a, schema, subs))
+                        .map(|a| self.compile_expr(a, schema))
                         .collect::<Result<_, _>>()?,
                 }
             }
             ast::Expr::Between { expr, low, high } => Expr::Between {
-                expr: Box::new(self.compile_expr(expr, schema, subs)?),
-                low: Box::new(self.compile_expr(low, schema, subs)?),
-                high: Box::new(self.compile_expr(high, schema, subs)?),
+                expr: Box::new(self.compile_expr(expr, schema)?),
+                low: Box::new(self.compile_expr(low, schema)?),
+                high: Box::new(self.compile_expr(high, schema)?),
             },
             ast::Expr::Like { expr, pattern } => Expr::Like {
-                expr: Box::new(self.compile_expr(expr, schema, subs)?),
+                expr: Box::new(self.compile_expr(expr, schema)?),
                 pattern: pattern.as_str().into(),
             },
             ast::Expr::Case {
@@ -943,14 +794,11 @@ impl<'a> Planner<'a> {
                 when_then: when_then
                     .iter()
                     .map(|(c, v)| {
-                        Ok((
-                            self.compile_expr(c, schema, subs)?,
-                            self.compile_expr(v, schema, subs)?,
-                        ))
+                        Ok((self.compile_expr(c, schema)?, self.compile_expr(v, schema)?))
                     })
                     .collect::<Result<_, PlanError>>()?,
                 else_expr: match else_expr {
-                    Some(x) => Some(Box::new(self.compile_expr(x, schema, subs)?)),
+                    Some(x) => Some(Box::new(self.compile_expr(x, schema)?)),
                     None => None,
                 },
             },
@@ -966,77 +814,44 @@ impl<'a> Planner<'a> {
 
 /// Replace aggregate calls and group-by expressions with references to the
 /// aggregate output's synthetic columns (`__gN`, `__aN`).
-fn rewrite_post_agg(e: &ast::Expr, groups: &[ast::Expr], agg_keys: &[String]) -> ast::Expr {
-    if let Some(i) = groups.iter().position(|g| g == e) {
-        return ast::Expr::Column {
-            qualifier: None,
-            name: format!("__g{i}"),
-        };
-    }
-    if let ast::Expr::Function {
+fn rewrite_post_agg(e: &mut ast::Expr, groups: &[ast::Expr], agg_keys: &[String]) {
+    let slot = if let Some(i) = groups.iter().position(|g| g == e) {
+        Some(format!("__g{i}"))
+    } else if let ast::Expr::Function {
         name,
         args,
         distinct,
     } = e
     {
-        let arg = args
-            .first()
-            .cloned()
-            .unwrap_or(ast::Expr::Literal(Value::Int(1)));
-        let key = agg_key(name, *distinct, &arg);
-        if let Some(i) = agg_keys.iter().position(|k| *k == key) {
-            return ast::Expr::Column {
+        let key = agg_key(name, *distinct, &agg_arg(args));
+        agg_keys
+            .iter()
+            .position(|k| *k == key)
+            .map(|i| format!("__a{i}"))
+    } else {
+        None
+    };
+    match slot {
+        Some(name) => {
+            *e = ast::Expr::Column {
                 qualifier: None,
-                name: format!("__a{i}"),
-            };
+                name,
+            }
+        }
+        None => {
+            let Ok(()) = e.try_rewrite_children(|c| {
+                rewrite_post_agg(c, groups, agg_keys);
+                Ok::<(), std::convert::Infallible>(())
+            });
         }
     }
-    match e {
-        ast::Expr::Unary { op, expr } => ast::Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_post_agg(expr, groups, agg_keys)),
-        },
-        ast::Expr::Binary { left, op, right } => ast::Expr::Binary {
-            left: Box::new(rewrite_post_agg(left, groups, agg_keys)),
-            op: *op,
-            right: Box::new(rewrite_post_agg(right, groups, agg_keys)),
-        },
-        ast::Expr::Function {
-            name,
-            args,
-            distinct,
-        } => ast::Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_post_agg(a, groups, agg_keys))
-                .collect(),
-            distinct: *distinct,
-        },
-        ast::Expr::Between { expr, low, high } => ast::Expr::Between {
-            expr: Box::new(rewrite_post_agg(expr, groups, agg_keys)),
-            low: Box::new(rewrite_post_agg(low, groups, agg_keys)),
-            high: Box::new(rewrite_post_agg(high, groups, agg_keys)),
-        },
-        ast::Expr::Case {
-            when_then,
-            else_expr,
-        } => ast::Expr::Case {
-            when_then: when_then
-                .iter()
-                .map(|(c, v)| {
-                    (
-                        rewrite_post_agg(c, groups, agg_keys),
-                        rewrite_post_agg(v, groups, agg_keys),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| Box::new(rewrite_post_agg(x, groups, agg_keys))),
-        },
-        other => other.clone(),
-    }
+}
+
+/// The argument an aggregate folds: its only one, or `1` for `COUNT(*)`.
+fn agg_arg(args: &[ast::Expr]) -> ast::Expr {
+    args.first()
+        .cloned()
+        .unwrap_or(ast::Expr::Literal(Value::Int(1)))
 }
 
 fn agg_key(name: &str, distinct: bool, arg: &ast::Expr) -> String {
@@ -1115,6 +930,12 @@ fn display_name(e: &ast::Expr) -> String {
         }
         _ => "expr".into(),
     }
+}
+
+/// Replace `plan` by `f(plan)`.
+fn wrap(plan: &mut Plan, f: impl FnOnce(Box<Plan>) -> Plan) {
+    let input = std::mem::replace(plan, Plan::Union { inputs: vec![] });
+    *plan = f(Box::new(input));
 }
 
 /// Wrap `plan` so its output schema is replaced with `schema` (same arity).

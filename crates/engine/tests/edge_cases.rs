@@ -93,6 +93,42 @@ fn like_and_case_together() {
     assert_eq!(none.len(), 0);
 }
 
+/// The first column of every row, as `i64`.
+fn ints(out: &Relation) -> Vec<i64> {
+    out.rows()
+        .iter()
+        .map(|r| r.values[0].as_i64().unwrap())
+        .collect()
+}
+
+#[test]
+fn like_over_an_aggregate_in_having() {
+    // One group per `a`; MAX(s) is that row's s: alpha, beta, gamma.
+    let out = run("SELECT a FROM t GROUP BY a HAVING MAX(s) LIKE '%ta' ORDER BY a");
+    assert_eq!(ints(&out), vec![2]);
+}
+
+#[test]
+fn like_over_an_aggregate_in_select() {
+    let out = run("SELECT MAX(s) LIKE 'g%', MIN(s) LIKE 'g%' FROM t");
+    // MAX(s) = gamma, MIN(s) = alpha.
+    assert_eq!(
+        out.rows()[0].values[..],
+        [Value::Bool(true), Value::Bool(false)]
+    );
+}
+
+#[test]
+fn like_over_a_scalar_subquery_in_where() {
+    // The subquery yields gamma: every row passes 'g%', none passes 'a%'.
+    let out = run("SELECT a FROM t WHERE (SELECT MAX(s) FROM t) LIKE 'g%' ORDER BY a");
+    assert_eq!(ints(&out), vec![1, 2, 3]);
+    assert_eq!(
+        run("SELECT a FROM t WHERE (SELECT MAX(s) FROM t) LIKE 'a%'").len(),
+        0
+    );
+}
+
 #[test]
 fn division_by_zero_is_a_runtime_error() {
     let c = catalog();

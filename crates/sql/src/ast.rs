@@ -238,58 +238,85 @@ impl Expr {
         }
     }
 
-    /// Visit this expression and all children, pre-order.
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
+    /// Call `f` on each direct child, left to right, stopping at the first
+    /// error. A subquery's body is not a child (the planner plans it as a
+    /// block of its own); an `IN (SELECT …)` probe is. This and
+    /// [`Expr::try_rewrite_children`] are the only code that knows where
+    /// each variant keeps its children.
+    pub fn try_visit_children<'a, E>(
+        &'a self,
+        mut f: impl FnMut(&'a Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
         match self {
-            Expr::Column { .. } | Expr::Literal(_) | Expr::Like { .. } => {}
-            Expr::Unary { expr, .. } => expr.walk(f),
+            Expr::Column { .. } | Expr::Literal(_) | Expr::ScalarSubquery(_) => Ok(()),
+            Expr::Unary { expr, .. } | Expr::InSubquery { expr, .. } | Expr::Like { expr, .. } => {
+                f(expr)
+            }
             Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+                f(left)?;
+                f(right)
             }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::ScalarSubquery(_) | Expr::InSubquery { .. } => {
-                // Subquery internals are visited by the planner, not here.
-                if let Expr::InSubquery { expr, .. } = self {
-                    expr.walk(f);
-                }
-            }
+            Expr::Function { args, .. } => args.iter().try_for_each(f),
             Expr::Between { expr, low, high } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
+                f(expr)?;
+                f(low)?;
+                f(high)
             }
             Expr::Case {
                 when_then,
                 else_expr,
             } => {
                 for (c, v) in when_then {
-                    c.walk(f);
-                    v.walk(f);
+                    f(c)?;
+                    f(v)?;
                 }
-                if let Some(e) = else_expr {
-                    e.walk(f);
-                }
+                else_expr.as_deref().map_or(Ok(()), f)
             }
         }
     }
 
-    /// True if the expression (not descending into subqueries) contains an
-    /// aggregate-looking function call. The planner uses the registry for
-    /// the authoritative decision; this helper is for AST validation.
-    pub fn contains_function(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e, Expr::Function { .. }) {
-                found = true;
+    /// [`Expr::try_visit_children`] with each child open to rewriting in
+    /// place.
+    pub fn try_rewrite_children<E>(
+        &mut self,
+        mut f: impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            Expr::Column { .. } | Expr::Literal(_) | Expr::ScalarSubquery(_) => Ok(()),
+            Expr::Unary { expr, .. } | Expr::InSubquery { expr, .. } | Expr::Like { expr, .. } => {
+                f(expr)
             }
+            Expr::Binary { left, right, .. } => {
+                f(left)?;
+                f(right)
+            }
+            Expr::Function { args, .. } => args.iter_mut().try_for_each(f),
+            Expr::Between { expr, low, high } => {
+                f(expr)?;
+                f(low)?;
+                f(high)
+            }
+            Expr::Case {
+                when_then,
+                else_expr,
+            } => {
+                for (c, v) in when_then {
+                    f(c)?;
+                    f(v)?;
+                }
+                else_expr.as_deref_mut().map_or(Ok(()), f)
+            }
+        }
+    }
+
+    /// Visit this expression and all its descendants, pre-order, not
+    /// descending into subquery bodies.
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        let Ok(()) = self.try_visit_children(|c| {
+            c.walk(f);
+            Ok::<(), std::convert::Infallible>(())
         });
-        found
     }
 }
 
@@ -318,13 +345,22 @@ mod tests {
     }
 
     #[test]
-    fn contains_function_detects() {
-        assert!(!Expr::col("a").contains_function());
-        let f = Expr::Function {
-            name: "AVG".into(),
-            args: vec![Expr::col("x")],
-            distinct: false,
+    fn like_operand_is_a_child() {
+        let mut e = Expr::Like {
+            expr: Box::new(Expr::col("a")),
+            pattern: "x%".into(),
         };
-        assert!(f.contains_function());
+        let mut columns = 0;
+        e.walk(&mut |x| columns += usize::from(matches!(x, Expr::Column { .. })));
+        assert_eq!(columns, 1);
+        e.try_rewrite_children(|c| {
+            *c = Expr::col("b");
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        let Expr::Like { expr, .. } = &e else {
+            unreachable!()
+        };
+        assert_eq!(**expr, Expr::col("b"));
     }
 }
