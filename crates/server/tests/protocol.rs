@@ -184,6 +184,58 @@ fn dispatcher_answers_deep_nesting_with_bad_json() {
     }
 }
 
+/// Factory that plans the request's `"sql"` text over a pinned Conviva
+/// catalog, streaming `sessions`.
+fn sql_factory() -> SubmitFactory {
+    let catalog = iolap_workloads::conviva_catalog(300, 17);
+    let registry = iolap_workloads::conviva_registry();
+    Arc::new(move |req: &JVal| {
+        let sql = req.get("sql").and_then(JVal::as_str).ok_or("missing sql")?;
+        let pq = plan_sql(sql, &catalog, &registry).map_err(|e| e.to_string())?;
+        let cfg = IolapConfig::with_batches(2).trials(10).seed(17);
+        let driver =
+            IolapDriver::from_plan(&pq, &catalog, "sessions", cfg).map_err(|e| e.to_string())?;
+        Ok((driver, iolap_server::tcp::spec_from_request(req)))
+    })
+}
+
+/// SQL nested far past the parser's bound is an error reply to its submit,
+/// not a stack overflow on the connection's thread (where the factory
+/// plans it) that aborts every session on the server.
+#[test]
+fn deep_sql_submit_is_an_error_reply() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::new(ServerConfig::with_workers(1)));
+    std::thread::spawn(move || serve(listener, server, sql_factory()));
+
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut request = |req: &str| {
+        writer.write_all(req.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        parse(line.trim()).unwrap()
+    };
+    let deep = format!(
+        "SELECT {}1{} FROM sessions",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let v =
+        request(&JVal::obj(vec![("op", "submit".into()), ("sql", deep.as_str().into())]).render());
+    assert_eq!(v.get("ok").and_then(JVal::as_bool), Some(false), "{v}");
+    let msg = v.get("error").and_then(JVal::as_str).unwrap_or_default();
+    assert!(msg.contains("nested deeper than"), "{v}");
+    let v = request(r#"{"op":"stats"}"#);
+    assert_eq!(v.get("ok").and_then(JVal::as_bool), Some(true), "{v}");
+}
+
 #[test]
 fn dispatcher_reports_queue_full_as_protocol_error() {
     let server = Server::new(ServerConfig::with_workers(1).max_live(1).max_queued(1));

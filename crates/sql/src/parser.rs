@@ -1,9 +1,28 @@
 //! Recursive-descent SQL parser.
+//!
+//! SQL text can nest without limit, but the parser, the planner and even
+//! dropping the AST recurse once per level, so a deep enough input would
+//! overflow the thread's stack and abort the process. [`MAX_DEPTH`] bounds
+//! both recursions: deeper input is a [`ParseError`].
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Keyword, LexError, Token, TokenKind};
 use iolap_relation::Value;
+use std::convert::Infallible;
 use std::fmt;
+
+/// The deepest SQL the parser accepts, in two senses. No expression it
+/// builds is higher than this (a column or literal is 1 high, and every
+/// operator, call, `CASE` and subquery is one higher than the highest
+/// expression it holds, so a left-deep `a + a + …` chain of n terms is n
+/// high), and the parser itself nests at most this many levels (one per
+/// parenthesis, per operand of `NOT` or unary `-`/`+`, and per expression
+/// inside a call, `CASE`, `IN` list or subquery, the outermost expression
+/// being level 1). Anything deeper is a [`ParseError`]. At 64 an
+/// unoptimized build parses, plans and executes the deepest accepted input
+/// in about half of a default 2 MiB thread stack; the workload queries are
+/// at most 9 high.
+pub const MAX_DEPTH: usize = 64;
 
 /// Parser errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,7 +59,11 @@ impl From<LexError> for ParseError {
 /// Parse one SQL statement.
 pub fn parse(sql: &str) -> Result<Statement, ParseError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_query()?;
     p.eat_if(&TokenKind::Semicolon);
     if let Some(t) = p.peek() {
@@ -62,6 +85,39 @@ pub fn parse_query(sql: &str) -> Result<Query, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parse levels entered so far (see [`MAX_DEPTH`]).
+    depth: usize,
+}
+
+/// Height of the expression tree under `e` (see [`MAX_DEPTH`]), subquery
+/// bodies included.
+fn height(e: &Expr) -> usize {
+    let mut h = match e {
+        Expr::ScalarSubquery(q) | Expr::InSubquery { subquery: q, .. } => query_height(q),
+        _ => 0,
+    };
+    let Ok(()) = e.try_visit_children(|c| {
+        h = h.max(height(c));
+        Ok::<(), Infallible>(())
+    });
+    h + 1
+}
+
+/// Height of the highest expression anywhere in `q`.
+fn query_height(q: &Query) -> usize {
+    let order = q.order_by.iter().map(|o| &o.expr);
+    let blocks = q.branches.iter().flat_map(|b| {
+        let items = b.items.iter().filter_map(|i| match i {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard => None,
+        });
+        items
+            .chain(&b.join_predicates)
+            .chain(&b.where_clause)
+            .chain(&b.group_by)
+            .chain(&b.having)
+    });
+    order.chain(blocks).map(height).max().unwrap_or(0)
 }
 
 impl Parser {
@@ -103,6 +159,34 @@ impl Parser {
             )),
             None => Err(ParseError::UnexpectedEof(what.to_string())),
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        let at = self.peek().or(self.tokens.last()).map_or(0, |t| t.offset);
+        ParseError::Unexpected(format!("SQL nested deeper than {MAX_DEPTH} levels"), at)
+    }
+
+    /// Run `f` one parse level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// The height of `left op right`, given `left`'s height.
+    fn grow(&self, left: usize, right: &Expr) -> Result<usize, ParseError> {
+        let h = left.max(height(right)) + 1;
+        if h > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(h)
     }
 
     fn expect_keyword(&mut self, kw: Keyword) -> Result<(), ParseError> {
@@ -278,25 +362,41 @@ impl Parser {
 
     // Precedence climbing: OR < AND < NOT < predicate < add < mul < unary.
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        let e = self.nested(Self::parse_or)?;
+        if height(&e) > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(e)
+    }
+
+    /// A left-deep chain `operand (op operand)*`; `op` names the operator a
+    /// token stands for at this precedence level.
+    fn parse_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+        op: fn(&TokenKind) -> Option<BinaryOp>,
+    ) -> Result<Expr, ParseError> {
+        let mut left = operand(self)?;
+        let mut h = height(&left);
+        while let Some(op) = self.peek_kind().and_then(op) {
+            self.pos += 1;
+            let right = operand(self)?;
+            h = self.grow(h, &right)?;
+            left = Expr::binary(left, op, right);
+        }
+        Ok(left)
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_and()?;
-        while self.eat_keyword(Keyword::Or) {
-            let right = self.parse_and()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_and, |t| {
+            (*t == TokenKind::Keyword(Keyword::Or)).then_some(BinaryOp::Or)
+        })
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_not()?;
-        while self.eat_keyword(Keyword::And) {
-            let right = self.parse_not()?;
-            left = Expr::binary(left, BinaryOp::And, right);
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_not, |t| {
+            (*t == TokenKind::Keyword(Keyword::And)).then_some(BinaryOp::And)
+        })
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
@@ -307,7 +407,7 @@ impl Parser {
                         .into(),
                 ));
             }
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -375,12 +475,11 @@ impl Parser {
                 .next()
                 .ok_or_else(|| ParseError::Unsupported("empty IN list".into()))?;
             let mut acc = Expr::binary(left.clone(), BinaryOp::Eq, first);
+            let mut h = height(&acc);
             for alt in it {
-                acc = Expr::binary(
-                    acc,
-                    BinaryOp::Or,
-                    Expr::binary(left.clone(), BinaryOp::Eq, alt),
-                );
+                let eq = Expr::binary(left.clone(), BinaryOp::Eq, alt);
+                h = self.grow(h, &eq)?;
+                acc = Expr::binary(acc, BinaryOp::Or, eq);
             }
             return Ok(acc);
         }
@@ -403,46 +502,32 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek_kind() {
-                Some(TokenKind::Plus) => BinaryOp::Add,
-                Some(TokenKind::Minus) => BinaryOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let right = self.parse_multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_multiplicative, |t| match t {
+            TokenKind::Plus => Some(BinaryOp::Add),
+            TokenKind::Minus => Some(BinaryOp::Sub),
+            _ => None,
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek_kind() {
-                Some(TokenKind::Star) => BinaryOp::Mul,
-                Some(TokenKind::Slash) => BinaryOp::Div,
-                Some(TokenKind::Percent) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.next();
-            let right = self.parse_unary()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_unary, |t| match t {
+            TokenKind::Star => Some(BinaryOp::Mul),
+            TokenKind::Slash => Some(BinaryOp::Div),
+            TokenKind::Percent => Some(BinaryOp::Mod),
+            _ => None,
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_if(&TokenKind::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Neg,
                 expr: Box::new(inner),
             });
         }
         if self.eat_if(&TokenKind::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -756,5 +841,24 @@ mod tests {
             )),
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn depth_is_bounded_at_max_depth() {
+        let item = |e: String| parse(&format!("SELECT {e} FROM t"));
+        let parens = |n| item(format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+        let negations = |n| item(format!("{}1", "NOT ".repeat(n)));
+        let chain = |n| item(vec!["a"; n].join(" * "));
+        let in_list = |n| item(format!("a IN ({})", vec!["1"; n].join(", ")));
+        // The outermost expression is level 1, each parenthesis one more.
+        assert!(parens(MAX_DEPTH - 1).is_ok());
+        assert!(parens(MAX_DEPTH).is_err());
+        assert!(negations(MAX_DEPTH - 1).is_ok());
+        assert!(negations(MAX_DEPTH).is_err());
+        assert!(chain(MAX_DEPTH).is_ok());
+        assert!(chain(MAX_DEPTH + 1).is_err());
+        // `a IN (v1, …, vn)` is `a = v1 OR … OR a = vn`: n + 1 high.
+        assert!(in_list(MAX_DEPTH - 1).is_ok());
+        assert!(in_list(MAX_DEPTH).is_err());
     }
 }

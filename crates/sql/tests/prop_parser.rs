@@ -1,11 +1,38 @@
-//! Property tests for the SQL frontend: the lexer never panics on arbitrary
-//! input, and generated queries from the supported dialect round-trip
-//! through the parser with the expected structure.
+//! Property tests for the SQL frontend: the lexer and the parser never
+//! panic (arbitrary text, SQL-alphabet soup, every truncation and one-byte
+//! edit of each workload query), and generated queries from the supported
+//! dialect round-trip through the parser with the expected structure.
+
+mod fuzz;
 
 use iolap_sql::ast::{Expr, SelectItem};
 use iolap_sql::lexer::tokenize;
-use iolap_sql::parse_query;
+use iolap_sql::{parse, parse_query};
 use proptest::prelude::*;
+
+#[test]
+fn parser_is_total_on_workload_truncations() {
+    for sql in fuzz::workload_sql() {
+        assert!(parse(sql).is_ok(), "workload query fails to parse: {sql}");
+        for prefix in fuzz::truncations(sql) {
+            let _ = parse(prefix);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Parsing SQL-alphabet soup or an edited workload query returns `Ok`
+    /// or `Err`, never a panic.
+    #[test]
+    fn parser_is_total_on_soup_and_edits(soup in fuzz::soup(), edits in fuzz::edits()) {
+        let _ = parse(&soup);
+        for sql in &edits {
+            let _ = parse(sql);
+        }
+    }
+}
 
 proptest! {
     /// Tokenizing arbitrary bytes must never panic — it may only return an
