@@ -358,7 +358,7 @@ impl Expr {
 
     /// Visit this expression and all its descendants, pre-order, children
     /// left to right.
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+    fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
             Expr::Col(_) | Expr::Lit(_) => {}
@@ -392,7 +392,8 @@ impl Expr {
         }
     }
 
-    /// Collect all referenced input columns, in [`Expr::walk`] order.
+    /// Collect all referenced input columns, pre-order, children left to
+    /// right.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
         self.walk(&mut |e| {
             if let Expr::Col(i) = e {
@@ -402,9 +403,9 @@ impl Expr {
     }
 
     /// Collect the names of all nondeterministic UDFs invoked anywhere in
-    /// this expression (per [`ScalarUdf::deterministic`]), in
-    /// [`Expr::walk`] order. Used by the static plan verifier to enforce
-    /// the §3.3 deterministic-key rule.
+    /// this expression (per [`ScalarUdf::deterministic`]), pre-order. Used
+    /// by the static plan verifier to enforce the §3.3 deterministic-key
+    /// rule.
     pub fn nondeterministic_udfs(&self, out: &mut Vec<String>) {
         self.walk(&mut |e| match e {
             Expr::Udf { func, .. } if !func.deterministic() => out.push(func.name().to_string()),

@@ -11,6 +11,13 @@
 //!   aggregate, which is then equi-joined with the outer block.
 //! * `IN (SELECT …)` becomes a semi-join.
 //!
+//! Scalar subqueries are planned in one pre-order walk over each WHERE or
+//! HAVING conjunct (`Planner::plan_subqueries`, shaped like GlareDB's
+//! `SubqueryPlanner`): each subquery is planned as a block, joined into the
+//! plan so far, and replaced in the conjunct by a reference to its value
+//! column. This walk and every other recursion over the AST here run on
+//! `ast::Expr`'s one child visitor and one child rewriter.
+//!
 //! The join that carries an inner aggregate's result into the outer block is
 //! the *lineage-block boundary* of §6.1; the iOLAP rewriter later replaces
 //! the carried value with a lineage reference.

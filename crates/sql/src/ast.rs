@@ -240,9 +240,10 @@ impl Expr {
 
     /// Call `f` on each direct child, left to right, stopping at the first
     /// error. A subquery's body is not a child (the planner plans it as a
-    /// block of its own); an `IN (SELECT …)` probe is. This and
-    /// [`Expr::try_rewrite_children`] are the only code that knows where
-    /// each variant keeps its children.
+    /// block of its own); an `IN (SELECT …)` probe is. Every recursion that
+    /// only needs to reach each child (walks, collectors, rewrites) goes
+    /// through this or [`Expr::try_rewrite_children`], so none can skip a
+    /// variant.
     pub fn try_visit_children<'a, E>(
         &'a self,
         mut f: impl FnMut(&'a Expr) -> Result<(), E>,

@@ -22,4 +22,4 @@ pub mod parser;
 pub use ast::{
     BinaryOp, Expr, OrderItem, Query, SelectBlock, SelectItem, Statement, TableRef, UnaryOp,
 };
-pub use parser::{parse, parse_query, ParseError, MAX_DEPTH};
+pub use parser::{parse, parse_query, ParseError};
