@@ -10,6 +10,8 @@
 //! (`tests/lint_repo.rs`); this binary is the standalone report. Needs no
 //! network and no third-party lint registry.
 
+#![forbid(unsafe_code)]
+
 use iolap_analyze::{lint_tree, repo_root, sort_findings, Allowlist, Rule};
 use std::process::ExitCode;
 

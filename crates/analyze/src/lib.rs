@@ -34,6 +34,7 @@
 //! activate it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod diag;

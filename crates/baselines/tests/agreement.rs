@@ -1,8 +1,8 @@
-//! Cross-engine agreement tests: for any batch prefix, OLA, HDA, and iOLAP
-//! must produce the same partial results on the queries all three support,
-//! and all must converge to the batch baseline's exact answer.
+//! Cross-engine agreement tests: for any batch prefix, HDA and iOLAP must
+//! produce the same partial results on the queries both support, and both
+//! must converge to the batch baseline's exact answer.
 
-use iolap_baselines::{run_baseline, HdaDriver, OlaDriver};
+use iolap_baselines::{run_baseline, HdaDriver};
 use iolap_core::{IolapConfig, IolapDriver};
 use iolap_relation::PartitionMode;
 use iolap_workloads::{conviva_catalog, conviva_query, conviva_registry};
@@ -14,31 +14,25 @@ fn config(batches: usize) -> IolapConfig {
 }
 
 #[test]
-fn ola_hda_iolap_agree_per_batch_on_flat_queries() {
+fn hda_iolap_agree_per_batch_on_flat_queries() {
     let cat = conviva_catalog(500, 7);
     let registry = conviva_registry();
     for id in ["C3", "C5", "C11", "C12"] {
         let q = conviva_query(id).unwrap();
-        let mut ola = OlaDriver::from_sql(q.sql, &cat, &registry, "sessions", config(5)).unwrap();
         let mut hda = HdaDriver::from_sql(q.sql, &cat, &registry, "sessions", config(5)).unwrap();
         let mut iolap =
             IolapDriver::from_sql(q.sql, &cat, &registry, "sessions", config(5)).unwrap();
         loop {
-            match (ola.step(), hda.step(), iolap.step()) {
-                (Some(a), Some(b), Some(c)) => {
-                    let (a, b, c) = (a.unwrap(), b.unwrap(), c.unwrap());
+            match (hda.step(), iolap.step()) {
+                (Some(b), Some(c)) => {
+                    let (b, c) = (b.unwrap(), c.unwrap());
                     assert!(
-                        a.result.relation.approx_eq(&b.result.relation, 1e-6),
-                        "{id} batch {}: OLA != HDA",
-                        a.batch
-                    );
-                    assert!(
-                        a.result.relation.approx_eq(&c.result.relation, 1e-6),
-                        "{id} batch {}: OLA != iOLAP",
-                        a.batch
+                        b.result.relation.approx_eq(&c.result.relation, 1e-6),
+                        "{id} batch {}: HDA != iOLAP",
+                        b.batch
                     );
                 }
-                (None, None, None) => break,
+                (None, None) => break,
                 _ => panic!("{id}: drivers disagree on batch count"),
             }
         }

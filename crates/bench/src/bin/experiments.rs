@@ -25,6 +25,8 @@
 //! synthetic data) — the *shapes* are what reproduce: who wins, growth
 //! trends, crossovers. See `EXPERIMENTS.md` for the side-by-side record.
 
+#![forbid(unsafe_code)]
+
 use iolap_bench::*;
 use iolap_core::IolapConfig;
 
@@ -582,7 +584,7 @@ fn trials_sweep(scale: &ExpScale) {
 /// representative nested query per workload, summed over all batches —
 /// where each query's time and traffic actually go. Runs with the journal
 /// armed so the rollup line reports *exclusive* span self-time from the
-/// trace tree (the deprecated `total_span_ns` double-counted nested spans).
+/// trace tree (a plain sum of the `*_ns` metrics double-counts nested spans).
 fn metrics_breakdown(scale: &ExpScale) {
     for (w, id) in [
         (tpch_workload(scale), "Q11"),

@@ -7,6 +7,7 @@
 //! `cargo test`, not by this crate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod serve;
 

@@ -38,11 +38,9 @@ impl ErrorEstimate {
         let mean = trials.iter().sum::<f64>() / n;
         let var = trials.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
         let std_error = var.sqrt();
-        let mut sorted = trials.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
         let alpha = (1.0 - confidence) / 2.0;
-        let ci_lo = percentile(&sorted, alpha)?;
-        let ci_hi = percentile(&sorted, 1.0 - alpha)?;
+        let ci_lo = unsorted_percentile(trials, alpha)?;
+        let ci_hi = unsorted_percentile(trials, 1.0 - alpha)?;
         let relative_std = if estimate == 0.0 {
             f64::INFINITY
         } else {
@@ -70,6 +68,77 @@ impl ErrorEstimate {
     }
 }
 
+/// Ranks this close to either end of a trial vector are read off a
+/// one-pass buffer of the extreme values instead of a selection.
+const TAIL: usize = 8;
+
+/// [`percentile`] of `values` in any order, without sorting them: the same
+/// two order statistics (by [`f64::total_cmp`]), interpolated the same way,
+/// so the same bits. A confidence interval reads ranks near the ends, which
+/// one pass with a small buffer finds; other ranks are selected on a copy.
+fn unsorted_percentile(values: &[f64], q: f64) -> Option<f64> {
+    if values.len() <= 1 {
+        return values.first().copied();
+    }
+    let n = values.len();
+    let (lo, hi, frac) = percentile_ranks(n, q);
+    let (at_lo, at_hi) = if hi < TAIL {
+        let least = extremes(values, hi + 1, f64::total_cmp);
+        (least[lo], least[hi])
+    } else if n - lo <= TAIL {
+        // Rank `r` is the `n - 1 - r`-th greatest.
+        let most = extremes(values, n - lo, |a, b| b.total_cmp(a));
+        (most[n - 1 - lo], most[n - 1 - hi])
+    } else {
+        let mut scratch = values.to_vec();
+        let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+        // `hi` is `lo` or `lo + 1`: the least value above rank `lo`.
+        let at_hi = if hi > lo {
+            above.iter().copied().min_by(f64::total_cmp)?
+        } else {
+            at_lo
+        };
+        (at_lo, at_hi)
+    };
+    Some(if lo == hi {
+        at_lo
+    } else {
+        at_lo * (1.0 - frac) + at_hi * frac
+    })
+}
+
+/// The first `k ≤ TAIL` of `values` in `order`, in that order.
+fn extremes(
+    values: &[f64],
+    k: usize,
+    order: impl Fn(&f64, &f64) -> std::cmp::Ordering,
+) -> [f64; TAIL] {
+    let mut buf = [0.0; TAIL];
+    let mut len = 0;
+    for &x in values {
+        if len == k && order(&x, &buf[k - 1]).is_ge() {
+            continue;
+        }
+        // Insert `x` after every kept value that is not above it.
+        let mut at = len.min(k - 1);
+        while at > 0 && order(&x, &buf[at - 1]).is_lt() {
+            buf[at] = buf[at - 1];
+            at -= 1;
+        }
+        buf[at] = x;
+        len = (len + 1).min(k);
+    }
+    buf
+}
+
+/// The two ranks a linear-interpolated `q`-percentile of `len ≥ 2` values
+/// reads, and the weight of the upper one.
+fn percentile_ranks(len: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (len - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
 /// Linear-interpolated percentile of a sorted slice, `q ∈ [0, 1]`.
 ///
 /// Follows the same degenerate-input policy as the metrics layer's
@@ -82,14 +151,10 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
     if sorted.len() == 1 {
         return Some(first);
     }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let (lo, hi, frac) = percentile_ranks(sorted.len(), q);
     if lo == hi {
         Some(sorted[lo])
     } else {
-        let frac = pos - lo as f64;
         Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
     }
 }
@@ -152,5 +217,50 @@ mod tests {
         assert_eq!(e.ci_lo, 3.5);
         assert_eq!(e.ci_hi, 3.5);
         assert_eq!(e.std_error, 0.0);
+    }
+
+    /// The unsorted percentile is the sorted one, to the bit, on every
+    /// path: both tail buffers and the selection, with ties, signed zeros,
+    /// infinities and NaN among the values.
+    #[test]
+    fn unsorted_percentile_equals_the_sorted_one() {
+        let pool = [
+            -0.0,
+            0.0,
+            1.0,
+            1.0,
+            2.5,
+            -3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let qs = [0.0, 0.01, 0.025, 0.05, 0.3, 0.5, 0.95, 0.975, 0.99, 1.0];
+        for n in (1..=40).chain(95..=105).chain([250]) {
+            for _ in 0..20 {
+                let values: Vec<f64> = (0..n)
+                    .map(|_| match next() % 3 {
+                        0 => pool[(next() % pool.len() as u64) as usize],
+                        _ => (next() % 1000) as f64 / 7.0 - 50.0,
+                    })
+                    .collect();
+                let mut sorted = values.clone();
+                sorted.sort_by(f64::total_cmp);
+                for q in qs {
+                    let want = percentile(&sorted, q).map(f64::to_bits);
+                    let got = unsorted_percentile(&values, q).map(f64::to_bits);
+                    assert_eq!(got, want, "n={n} q={q} values={values:?}");
+                }
+            }
+        }
+        assert_eq!(unsorted_percentile(&[], 0.5), None);
     }
 }

@@ -13,6 +13,7 @@
 //!   expressions (`x ϑ y` classification of §5.1).
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod estimate;
 pub mod interval;

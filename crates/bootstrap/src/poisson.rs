@@ -15,6 +15,16 @@
 //!
 //! [`draw_row_into`] is the kernel; [`poisson1`], [`trial_weights`] and
 //! [`block_trial_weights`] are views of the same stream.
+//!
+//! The kernel has two bodies with the same output bits. Where the CPU has
+//! AVX-512 (F, DQ and VL, checked once per process by std's feature
+//! detection) it runs two passes over each block of trials: a
+//! branch-free pass computing Knuth's first three products and the head
+//! count for every trial — 64-bit multiplies and u64 → f64 conversions
+//! that AVX-512DQ vectorises — then a scalar pass finishing the ~8 % of
+//! trials that need more than three uniforms. Elsewhere it runs the
+//! one-draw-per-trial loop. Both perform each draw's `f64` operations in
+//! the plain loop's order, so the choice never shows in a weight.
 
 /// Number of bootstrap trials used throughout the paper's experiments.
 pub const DEFAULT_TRIALS: usize = 100;
@@ -60,15 +70,29 @@ fn row_base(seed: u64, row_id: u64) -> u64 {
 /// draw is unchanged.
 #[inline]
 fn draw(base: u64) -> u32 {
+    let (head, p2) = head3(base);
+    if head < 3 {
+        return head;
+    }
+    tail(base, p2)
+}
+
+/// The branch-free head of [`draw`]: the count of the three products
+/// `p0, p1, p2` above `L`, and `p2`.
+#[inline(always)]
+fn head3(base: u64) -> (u32, f64) {
     let p0 = uniform(base, 0);
     let p1 = p0 * uniform(base, 1);
     let p2 = p1 * uniform(base, 2);
     // `p` only shrinks, so the comparisons are true on a prefix and their
     // count is the index of the first `p <= L`.
     let head = u32::from(p0 > L) + u32::from(p1 > L) + u32::from(p2 > L);
-    if head < 3 {
-        return head;
-    }
+    (head, p2)
+}
+
+/// The tail of [`draw`] for a head count of 3: Knuth's loop from `p2`.
+#[inline]
+fn tail(base: u64, p2: f64) -> u32 {
     let (mut k, mut p) = (3u32, p2);
     loop {
         p *= uniform(base, u64::from(k));
@@ -88,11 +112,76 @@ pub fn poisson1(seed: u64, row_id: u64, trial: u32) -> u32 {
 /// Row kernel: fill `out[t]` with draw `(stream, row, t)` as `f64`, for
 /// every trial `t < out.len()` — equal to [`poisson1`] on every slot, with
 /// the per-row part of the counter hoisted out of the trial loop.
+///
+/// Runs the two-pass kernel compiled for AVX-512 where the CPU has it (std
+/// detects the CPU's features once and caches them), and
+/// [`draw_row_portable`] elsewhere; both give the same bits.
 pub fn draw_row_into(stream: u64, row: u64, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+    {
+        // SAFETY: `draw_row_avx512` is compiled for exactly the three
+        // features just detected on this CPU, so every instruction it may
+        // use is available.
+        unsafe { draw_row_avx512(stream, row, out) };
+        return;
+    }
+    draw_row_portable(stream, row, out);
+}
+
+/// The row kernel without SIMD: one [`draw`] per trial, in trial order.
+/// What [`draw_row_into`] runs on CPUs without AVX-512.
+fn draw_row_portable(stream: u64, row: u64, out: &mut [f64]) {
     let mut base = row_base(stream, row);
     for slot in out {
         *slot = f64::from(draw(base));
         base = base.wrapping_add(TRIAL_STRIDE);
+    }
+}
+
+/// [`draw_row_two_pass`] compiled with AVX-512: 64-bit multiplies
+/// (`vpmullq`) and u64 → f64 conversions (`vcvtuqq2pd`) are what let the
+/// head pass vectorise.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn draw_row_avx512(stream: u64, row: u64, out: &mut [f64]) {
+    draw_row_two_pass(stream, row, out);
+}
+
+/// Trials per block of the two-pass kernel: the saved products `p2` of one
+/// block live on the stack.
+#[cfg(target_arch = "x86_64")]
+const BLOCK: usize = 128;
+
+/// The row kernel as two passes over each block of trials.
+///
+/// Pass 1 is [`draw`]'s branch-free head for every trial of the block: the
+/// three unconditional uniforms, `p0, p1, p2` and the head count, which is
+/// the draw unless it is 3; `p2` is saved. Pass 2 finishes the trials whose
+/// head count is 3 (8 % of them) with [`draw`]'s tail loop from the saved
+/// `p2`. The `f64` operations and their order are [`draw`]'s, so every
+/// draw is the same.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn draw_row_two_pass(stream: u64, row: u64, out: &mut [f64]) {
+    let base = row_base(stream, row);
+    let mut saved = [0.0f64; BLOCK];
+    for (b, block) in out.chunks_mut(BLOCK).enumerate() {
+        // Blocks after the first start at their trial offset.
+        let first = base.wrapping_add(((b * BLOCK) as u64).wrapping_mul(TRIAL_STRIDE));
+        for (t, (slot, p2)) in block.iter_mut().zip(saved.iter_mut()).enumerate() {
+            let (head, p) = head3(first.wrapping_add((t as u64).wrapping_mul(TRIAL_STRIDE)));
+            *slot = f64::from(head);
+            *p2 = p;
+        }
+        for (t, (slot, p2)) in block.iter_mut().zip(&saved).enumerate() {
+            if *slot == 3.0 {
+                let trial_base = first.wrapping_add((t as u64).wrapping_mul(TRIAL_STRIDE));
+                *slot = f64::from(tail(trial_base, *p2));
+            }
+        }
     }
 }
 
@@ -110,7 +199,7 @@ pub fn block_trial_weights(seed: u64, first_row: u64, rows: usize, trials: usize
     let mut out = vec![0.0; rows * trials];
     if trials > 0 {
         for (r, chunk) in out.chunks_exact_mut(trials).enumerate() {
-            draw_row_into(seed, first_row + r as u64, chunk);
+            draw_row_into(seed, first_row.wrapping_add(r as u64), chunk);
         }
     }
     out
@@ -153,16 +242,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_kernel_equals_the_plain_loop_on_every_draw() {
-        // xorshift over the full u64 range of streams and rows.
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = || {
+    /// xorshift64 over the full `u64` range, for `(stream, row)` pairs.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
-        };
+        }
+    }
+
+    /// Trial counts on both sides of the two-pass kernel's vector width
+    /// and block size, up to the largest sweep in EXPERIMENTS.md and past.
+    const TRIAL_COUNTS: [usize; 11] = [0, 1, 7, 8, 9, 100, 127, 128, 129, 200, 1000];
+
+    /// Every slot of `out` is the plain loop's draw, to the bit.
+    fn assert_row_is_reference(stream: u64, row: u64, out: &[f64], path: &str) {
+        for (t, got) in out.iter().enumerate() {
+            let want = f64::from(knuth_reference(stream, row, t as u32));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{path} ({stream}, {row}, {t})"
+            );
+        }
+    }
+
+    #[test]
+    fn row_kernel_equals_the_plain_loop_on_every_draw() {
+        let mut next = xorshift(0x1234_5678_9ABC_DEF0);
         let mut out = [0.0; 100];
         let mut tail = 0u32;
         for _ in 0..10_500 {
@@ -177,6 +285,65 @@ mod tests {
         }
         // P(k >= 3) is 8 %: the loop after the branch-free head is covered.
         assert!(tail > 50_000, "only {tail} of 1.05M draws reached the tail");
+    }
+
+    /// Every body of the kernel at every trial count: the dispatched one
+    /// (two-pass with AVX-512 where the CPU has it), the portable one and
+    /// the two-pass body without AVX-512 — called directly, so an AVX-512
+    /// machine tests the portable loop and any x86-64 machine the two
+    /// passes.
+    #[test]
+    fn every_kernel_path_equals_the_reference_at_every_trial_count() {
+        type Kernel = fn(u64, u64, &mut [f64]);
+        let paths: &[(&str, Kernel)] = &[
+            ("dispatched", draw_row_into),
+            ("portable", draw_row_portable),
+            #[cfg(target_arch = "x86_64")]
+            ("two-pass", draw_row_two_pass),
+        ];
+        let mut next = xorshift(0x0F1E_2D3C_4B5A_6978);
+        for trials in TRIAL_COUNTS {
+            let mut out = vec![f64::NAN; trials];
+            for _ in 0..40 {
+                let (stream, row) = (next(), next());
+                for (name, path) in paths {
+                    path(stream, row, &mut out);
+                    assert_row_is_reference(stream, row, &out, name);
+                    out.fill(f64::NAN);
+                }
+            }
+        }
+        // The counters' extremes.
+        let mut out = vec![f64::NAN; 300];
+        for (stream, row) in [(0, 0), (u64::MAX, u64::MAX), (0, u64::MAX), (u64::MAX, 0)] {
+            for (name, path) in paths {
+                path(stream, row, &mut out);
+                assert_row_is_reference(stream, row, &out, name);
+                out.fill(f64::NAN);
+            }
+        }
+    }
+
+    #[test]
+    fn block_rows_equal_the_row_kernel_at_every_trial_count() {
+        let mut next = xorshift(0x0BAD_CAFE_F00D_0001);
+        for trials in TRIAL_COUNTS {
+            let (stream, first) = (next(), next());
+            let block = block_trial_weights(stream, first, 3, trials);
+            assert_eq!(block.len(), 3 * trials);
+            for r in 0..3 {
+                let row = first.wrapping_add(r as u64);
+                let mut want = vec![0.0; trials];
+                draw_row_into(stream, row, &mut want);
+                let got = &block[r * trials..(r + 1) * trials];
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "block row {r} of ({stream}, {first}) at {trials} trials"
+                );
+            }
+        }
     }
 
     #[test]

@@ -120,8 +120,8 @@ pub struct BatchReport {
     pub state_bytes_other: usize,
     /// Exclusive per-span self-time for this batch, `(span name, ns)` in
     /// name order, derived from the trace span tree (nested spans do not
-    /// double-count — unlike the deprecated `Metrics::total_span_ns`
-    /// rollup). Empty when tracing is off.
+    /// double-count, unlike a plain sum of the `*_ns` metrics). Empty when
+    /// tracing is off.
     pub self_time_ns: Vec<(&'static str, u64)>,
 }
 

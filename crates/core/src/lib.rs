@@ -16,6 +16,7 @@
 //! bootstrap error estimates after every batch.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod annotate;
 pub mod channel;

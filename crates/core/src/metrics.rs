@@ -244,20 +244,6 @@ impl Metrics {
         }
         out
     }
-
-    /// Total nanoseconds across every `*_ns` span.
-    ///
-    /// **Deprecated in favour of the trace layer's exclusive self-time**
-    /// ([`crate::trace::self_time_by_name`], surfaced per batch in
-    /// `BatchReport::self_time_ns`): spans of nested operators overlap, so
-    /// this sum double-counts parents and children and is only an upper
-    /// bound, not wall-clock. Kept for back-compat with existing rollups.
-    pub fn total_span_ns(&self) -> u64 {
-        self.values
-            .iter()
-            .filter(|(n, _)| n.ends_with("_ns"))
-            .fold(0u64, |acc, (_, v)| acc.saturating_add(*v))
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -360,7 +346,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         s.stop(&mut m, "test.span_ns");
         assert!(m.get("test.span_ns") >= 1_000_000);
-        assert_eq!(m.total_span_ns(), m.get("test.span_ns"));
     }
 
     #[test]

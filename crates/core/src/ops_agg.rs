@@ -208,6 +208,33 @@ type SketchMap = HashMap<Arc<[Value]>, GroupSketch>;
 /// One grid partition's folded groups.
 type PartGroups = Vec<(Arc<[Value]>, GroupSketch)>;
 
+/// The order groups are published in: key columns left to right, by
+/// [`Value::total_cmp`].
+fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    for (x, y) in a.iter().zip(b.iter()) {
+        let ord = x.total_cmp(y);
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// The union of two disjoint key lists, each sorted by [`cmp_keys`], in
+/// that order.
+fn merge_sorted(sorted: &[Arc<[Value]>], fresh: Vec<Arc<[Value]>>) -> Vec<Arc<[Value]>> {
+    let mut out = Vec::with_capacity(sorted.len() + fresh.len());
+    let mut rest = sorted.iter().peekable();
+    for k in fresh {
+        while let Some(s) = rest.next_if(|s| cmp_keys(s, &k).is_lt()) {
+            out.push(s.clone());
+        }
+        out.push(k);
+    }
+    out.extend(rest.cloned());
+    out
+}
+
 /// Add `sketch` to `map[key]`: merge into the group when it exists, insert
 /// otherwise.
 fn merge_into(
@@ -334,6 +361,9 @@ pub struct AggregateOp {
     /// outputs are scaled by `m_i`.
     pub scale_stream: bool,
     sketch: SketchMap,
+    /// The keys of `sketch` in [`cmp_keys`] order, kept sorted as groups
+    /// arrive so a batch does not re-sort every group it ever saw.
+    sketch_order: Vec<Arc<[Value]>>,
     /// Certain rows retained when sketching is impossible (uncertain
     /// aggregate arguments, §4.2).
     unsketchable_rows: Vec<ORow>,
@@ -368,6 +398,7 @@ impl AggregateOp {
             input_tuple_uncertain,
             scale_stream,
             sketch: HashMap::new(),
+            sketch_order: Vec::new(),
             unsketchable_rows: Vec::new(),
             emitted_certain: HashSet::new(),
             fast,
@@ -565,6 +596,13 @@ impl AggregateOp {
             // reuse it instead of a second per-row key-allocation pass.
             touched = delta.keys().cloned().collect();
             for (k, v) in delta {
+                if !self.sketch.contains_key(&k) {
+                    let at = self
+                        .sketch_order
+                        .binary_search_by(|probe| cmp_keys(probe, &k))
+                        .unwrap_or_else(|at| at);
+                    self.sketch_order.insert(at, k.clone());
+                }
                 merge_into(&mut self.sketch, k, v)?;
             }
         } else {
@@ -620,22 +658,15 @@ impl AggregateOp {
             );
         }
 
-        // Merge persistent ∪ temporary, publish, emit.
-        let mut all_keys: Vec<Arc<[Value]>> = self.sketch.keys().cloned().collect();
-        for k in temp.keys() {
-            if !self.sketch.contains_key(k) {
-                all_keys.push(k.clone());
-            }
-        }
-        all_keys.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let ord = x.total_cmp(y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        // Merge persistent ∪ temporary, publish, emit — in key order: the
+        // persistent keys are kept sorted, so only the temporary ones sort.
+        let mut fresh: Vec<Arc<[Value]>> = temp
+            .keys()
+            .filter(|k| !self.sketch.contains_key(*k))
+            .cloned()
+            .collect();
+        fresh.sort_by(|a, b| cmp_keys(a, b));
+        let all_keys = merge_sorted(&self.sketch_order, fresh);
 
         let scale = if self.scale_stream { ctx.scale } else { 1.0 };
         let scales: Vec<f64> = self

@@ -17,6 +17,7 @@ use crate::ops::{BatchCtx, OnlineOp};
 use iolap_engine::{EngineError, Expr};
 use iolap_relation::{Schema, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 type KeyMap = HashMap<Vec<Value>, Vec<ORow>>;
 
@@ -33,8 +34,11 @@ pub struct JoinOp {
     pub right_keys: Vec<Expr>,
     /// Output schema (left ++ right).
     pub schema: Schema,
-    left_acc: Option<KeyMap>,
-    right_acc: Option<KeyMap>,
+    /// Accumulated sides, shared with checkpoints until the next insert
+    /// (copy on write): a side that stopped growing — a dimension table
+    /// after its one batch — costs a checkpoint nothing to save.
+    left_acc: Option<Arc<KeyMap>>,
+    right_acc: Option<Arc<KeyMap>>,
     left_exhausted: bool,
     right_exhausted: bool,
 }
@@ -54,8 +58,8 @@ impl JoinOp {
             left_keys,
             right_keys,
             schema,
-            left_acc: Some(HashMap::new()),
-            right_acc: Some(HashMap::new()),
+            left_acc: Some(Arc::default()),
+            right_acc: Some(Arc::default()),
             left_exhausted: false,
             right_exhausted: false,
         }
@@ -63,7 +67,7 @@ impl JoinOp {
 
     /// Bytes held in accumulated join state.
     pub fn state_bytes(&self) -> usize {
-        let side = |acc: &Option<KeyMap>| {
+        let side = |acc: &Option<Arc<KeyMap>>| {
             acc.as_ref()
                 .map(|m| {
                     m.values()
@@ -92,8 +96,11 @@ impl JoinOp {
         // Certain deltas, symmetric:
         //   ΔL ⋈ (Racc ∪ ΔR)  ∪  (Lacc \ ΔL) ⋈ ΔR
         if let Some(right_acc) = &mut self.right_acc {
-            for (row, key) in r.delta_certain.iter().zip(rkeys.iter()) {
-                right_acc.entry(key.clone()).or_default().push(row.clone());
+            if !r.delta_certain.is_empty() {
+                let acc = Arc::make_mut(right_acc);
+                for (row, key) in r.delta_certain.iter().zip(rkeys.iter()) {
+                    acc.entry(key.clone()).or_default().push(row.clone());
+                }
             }
             for (lr, lk) in l.delta_certain.iter().zip(lkeys.iter()) {
                 if let Some(matches) = right_acc.get(lk) {
@@ -113,8 +120,11 @@ impl JoinOp {
                     }
                 }
             }
-            for (row, key) in l.delta_certain.iter().zip(lkeys.iter()) {
-                left_acc.entry(key.clone()).or_default().push(row.clone());
+            if !l.delta_certain.is_empty() {
+                let acc = Arc::make_mut(left_acc);
+                for (row, key) in l.delta_certain.iter().zip(lkeys.iter()) {
+                    acc.entry(key.clone()).or_default().push(row.clone());
+                }
             }
         }
 

@@ -10,7 +10,7 @@
 use crate::channel::ORow;
 use crate::registry::AggRegistry;
 use iolap_bootstrap::ErrorEstimate;
-use iolap_engine::{EvalContext, Expr, RefMode};
+use iolap_engine::{EvalContext, Expr, RefMode, RefResolver};
 use iolap_relation::{Relation, Row, Schema, Value};
 
 /// Presentation config carried from a top-level `Plan::Sort`.
@@ -185,57 +185,45 @@ impl Sink {
         confidence: f64,
     ) -> QueryResult {
         let ctx = EvalContext::with_resolver(registry);
-        // Pass 1: resolve lineage cells to current values, remembering which
-        // cells are uncertain (estimates are computed only for rows that
-        // survive ORDER BY/LIMIT — percentile sorting every group's trial
-        // vector just to truncate them away would dominate LIMIT queries).
-        let mut rows: Vec<Row> = Vec::with_capacity(self.certain.len() + self.uncertain.len());
-        let mut cells: Vec<Vec<Option<Value>>> = Vec::with_capacity(rows.capacity());
-        for orow in self.certain.iter().chain(self.uncertain.iter()) {
-            let mut values = Vec::with_capacity(orow.values.len());
-            let mut row_cells = Vec::with_capacity(orow.values.len());
-            for v in orow.values.iter() {
-                match v {
-                    Value::Ref(_) | Value::Pending(_) => {
-                        let probe = Row {
-                            values: vec![v.clone()].into(),
-                            mult: 1.0,
-                        };
-                        let current = Expr::Col(0).eval(&probe, &ctx).unwrap_or(Value::Null);
-                        values.push(current);
-                        row_cells.push(Some(v.clone()));
-                    }
-                    other => {
-                        values.push(other.clone());
-                        row_cells.push(None);
-                    }
-                }
-            }
-            let mult = orow.mult * scale.powi(self.stream_factor as i32);
-            rows.push(Row::with_mult(values, mult));
-            cells.push(row_cells);
-        }
+        // Pass 1: resolve lineage cells to current values.
+        let sources: Vec<&ORow> = self.certain.iter().chain(self.uncertain.iter()).collect();
+        let factor = scale.powi(self.stream_factor as i32);
+        let rendered: Vec<Row> = sources
+            .iter()
+            .map(|orow| {
+                let values = orow
+                    .values
+                    .iter()
+                    .map(|v| match v {
+                        Value::Ref(r) => registry.resolve(r, RefMode::Current),
+                        Value::Pending(c) => registry.resolve_pending(c, RefMode::Current),
+                        other => other.clone(),
+                    })
+                    .collect();
+                Row::with_mult(values, orow.mult * factor)
+            })
+            .collect();
 
-        // Pass 2: presentation (ORDER BY + LIMIT) over the rendered rows.
-        if !self.presentation.sort_keys.is_empty() || self.presentation.limit.is_some() {
-            let mut keyed: Vec<(Vec<Value>, Row, Vec<Option<Value>>)> = rows
-                .into_iter()
-                .zip(cells)
-                .map(|(r, e)| {
-                    let k = self
-                        .presentation
-                        .sort_keys
+        // Pass 2: presentation (ORDER BY + LIMIT) picks the surviving rows
+        // by index.
+        let mut order: Vec<usize> = (0..rendered.len()).collect();
+        let limit = self.presentation.limit.map(|n| n as usize);
+        let sort_keys = &self.presentation.sort_keys;
+        if !sort_keys.is_empty() {
+            let keys: Vec<Value> = rendered
+                .iter()
+                .flat_map(|r| {
+                    sort_keys
                         .iter()
-                        .map(|(expr, _)| expr.eval(&r, &ctx).unwrap_or(Value::Null))
-                        .collect();
-                    (k, r, e)
+                        .map(|(expr, _)| expr.eval(r, &ctx).unwrap_or(Value::Null))
                 })
                 .collect();
-            keyed.sort_by(|(ka, _, _), (kb, _, _)| {
-                for ((x, y), (_, asc)) in ka
+            let k = sort_keys.len();
+            let by_keys = |&a: &usize, &b: &usize| {
+                for ((x, y), (_, asc)) in keys[a * k..(a + 1) * k]
                     .iter()
-                    .zip(kb.iter())
-                    .zip(self.presentation.sort_keys.iter())
+                    .zip(&keys[b * k..(b + 1) * k])
+                    .zip(sort_keys)
                 {
                     let mut ord = x.total_cmp(y);
                     if !asc {
@@ -246,17 +234,40 @@ impl Sink {
                     }
                 }
                 std::cmp::Ordering::Equal
-            });
-            if let Some(n) = self.presentation.limit {
-                keyed.truncate(n as usize);
+            };
+            // Ties broken by input position: the order a stable sort by the
+            // keys gives, made total, so the `n` least under it are a
+            // stable sort's first `n` whatever order selection leaves.
+            let stable = |a: &usize, b: &usize| by_keys(a, b).then(a.cmp(b));
+            if let Some(n) = limit.filter(|&n| n < order.len()) {
+                order.select_nth_unstable_by(n, stable);
+                order.truncate(n);
             }
-            rows = Vec::with_capacity(keyed.len());
-            cells = Vec::with_capacity(keyed.len());
-            for (_, r, e) in keyed {
-                rows.push(r);
-                cells.push(e);
-            }
+            order.sort_unstable_by(stable);
         }
+        if let Some(n) = limit {
+            order.truncate(n);
+        }
+        // The uncertain cells of the survivors: estimates are computed only
+        // for rows that survive ORDER BY/LIMIT and for visible columns —
+        // percentile selection over trial vectors whose estimate is then
+        // cut away (a LIMIT, a hidden sort key) would dominate the publish.
+        let visible = self.visible.unwrap_or(usize::MAX);
+        let cells: Vec<Vec<Option<Value>>> = order
+            .iter()
+            .map(|&i| {
+                sources[i]
+                    .values
+                    .iter()
+                    .enumerate()
+                    .map(|(c, v)| {
+                        let uncertain = matches!(v, Value::Ref(_) | Value::Pending(_));
+                        (uncertain && c < visible).then(|| v.clone())
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<Row> = order.iter().map(|&i| rendered[i].clone()).collect();
 
         // Pass 3: bootstrap error estimates for the surviving rows.
         let estimates: Vec<Vec<Option<ErrorEstimate>>> = rows
@@ -496,5 +507,42 @@ mod tests {
         assert_eq!(out.relation.len(), 2);
         assert_eq!(out.relation.rows()[0].values[0], Value::Int(9));
         assert_eq!(out.relation.rows()[1].values[0], Value::Int(7));
+    }
+
+    #[test]
+    fn presentation_keeps_ties_in_arrival_order() {
+        // Sorted descending on the first column only: rows tied on it come
+        // out in the order they arrived, with or without a LIMIT cutting
+        // through them (enough rows that selection does not just sort).
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("id", DataType::Int)]);
+        let key = |id: i64| id * 7 % 3;
+        let rows: Vec<ORow> = (0..60)
+            .map(|id| ORow::new(vec![Value::Int(key(id)), Value::Int(id)]))
+            .collect();
+        let mut arrival: Vec<i64> = (0..60).collect();
+        arrival.sort_by_key(|&id| std::cmp::Reverse(key(id)));
+        for limit in [None, Some(5), Some(23), Some(59)] {
+            let mut sink = Sink::new(
+                schema.clone(),
+                vec!["k".into(), "id".into()],
+                Presentation {
+                    sort_keys: vec![(Expr::Col(0), false)],
+                    limit,
+                },
+                0,
+                None,
+            );
+            sink.ingest(rows.clone(), vec![]);
+            let out = sink.publish(&AggRegistry::new(), 1.0, 0, 0.95);
+            let ids: Vec<Value> = out
+                .relation
+                .rows()
+                .iter()
+                .map(|r| r.values[1].clone())
+                .collect();
+            let n = limit.map_or(60, |n| n as usize);
+            let want: Vec<Value> = arrival[..n].iter().map(|&id| Value::Int(id)).collect();
+            assert_eq!(ids, want, "limit {limit:?}");
+        }
     }
 }

@@ -345,8 +345,8 @@ impl Default for Tracer {
 /// Exclusive self-time per span name: each closed span's duration minus
 /// the durations of its closed children, aggregated by name into a
 /// deterministic (ordered) map. Spans the ring buffer truncated (missing
-/// begin or end) are skipped. This replaces `Metrics::total_span_ns` as
-/// the rollup of record: nested spans no longer double-count.
+/// begin or end) are skipped. This is the rollup of record: nested spans
+/// do not double-count, as a plain sum of the `*_ns` metrics would.
 pub fn self_time_by_name(events: &[TraceEvent]) -> BTreeMap<&'static str, u64> {
     // span id -> (name, begin_ts, end_ts, parent)
     type OpenSpan = (&'static str, Option<u64>, Option<u64>, SpanId);

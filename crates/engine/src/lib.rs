@@ -13,6 +13,7 @@
 //! * the UDF/UDAF registry ([`registry`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod executor;

@@ -11,6 +11,7 @@
 //! on the accumulated prefix) possible to state exactly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod catalog;

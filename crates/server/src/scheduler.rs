@@ -892,6 +892,9 @@ impl Server {
                 queued: st.queued.len(),
             });
         }
+        if st.next_id == u64::MAX {
+            return Err(AdmitError::IdsExhausted);
+        }
         let id = st.next_id;
         st.next_id += 1;
         st.admitted += 1;
@@ -1032,6 +1035,15 @@ impl Server {
             }
         };
         for entry in entries {
+            if entry.id == u64::MAX {
+                // Never a session id (it marks manifest-level failures
+                // here, and the id counter stops below it): a damaged
+                // record that survived its CRC.
+                report
+                    .skipped
+                    .push((entry.id, "session id out of range".to_string()));
+                continue;
+            }
             {
                 // Ids of recovered (and finished) sessions stay reserved so
                 // new submissions never collide with on-disk logs.

@@ -174,6 +174,9 @@ pub enum AdmitError {
     },
     /// The server is shutting down.
     ShuttingDown,
+    /// Every session id has been handed out (`u64::MAX` is never one);
+    /// reachable only after recovering a manifest that names ids near it.
+    IdsExhausted,
 }
 
 impl fmt::Display for AdmitError {
@@ -184,6 +187,7 @@ impl fmt::Display for AdmitError {
                 "admission rejected: {live} live sessions and {queued} queued (both at capacity)"
             ),
             AdmitError::ShuttingDown => write!(f, "admission rejected: server is shutting down"),
+            AdmitError::IdsExhausted => write!(f, "admission rejected: session ids exhausted"),
         }
     }
 }

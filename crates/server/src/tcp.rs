@@ -218,6 +218,7 @@ pub fn handle_request(
                     &format!("{live} live, {queued} queued — admission rejected"),
                 ),
                 Err(e @ AdmitError::ShuttingDown) => err_response("shutting_down", &e.to_string()),
+                Err(e @ AdmitError::IdsExhausted) => err_response("ids_exhausted", &e.to_string()),
             },
         },
         "append" => {

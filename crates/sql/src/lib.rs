@@ -14,6 +14,7 @@
 //! `iolap-engine`, which layers on top of this crate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod lexer;

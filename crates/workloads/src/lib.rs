@@ -13,6 +13,7 @@
 //!   and the UDF/UDAF registry they need.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod conviva;
 pub mod conviva_queries;

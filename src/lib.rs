@@ -7,6 +7,8 @@
 //! See `README.md` for the tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub use iolap_baselines as baselines;
 pub use iolap_bootstrap as bootstrap;
 pub use iolap_core as core;
