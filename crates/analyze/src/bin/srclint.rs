@@ -1,8 +1,9 @@
 //! `srclint` — offline source-lint gate.
 //!
-//! Scans `crates/**/*.rs` for rules `L001`–`L009`, subtracts the audited
-//! exceptions in `scripts/lint-allow.txt`, then turns every allowlist entry
-//! that matched nothing into an `L010` staleness finding. Output is sorted
+//! Scans the workspace sources for rules `L001`–`L013` (L010 aside),
+//! subtracts the audited exceptions in `scripts/lint-allow.txt`, then
+//! turns every allowlist entry that matched nothing into an `L010`
+//! staleness finding. Output is sorted
 //! and deduplicated, so runs are byte-for-byte reproducible.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` internal error (unreadable

@@ -392,13 +392,6 @@ impl CallGraph {
         CallGraph { fns, by_name }
     }
 
-    /// Build from the repo on disk: all `crates/*/src/**/*.rs` files
-    /// (excluding `tests/` directories and anything under `target/`).
-    pub fn build_from_repo(repo_root: &Path) -> std::io::Result<CallGraph> {
-        let files = collect_prod_sources(repo_root)?;
-        Ok(Self::build(&files))
-    }
-
     /// Indices of fns named `name` defined in a file whose path ends with
     /// `file_suffix`.
     pub fn find(&self, file_suffix: &str, name: &str) -> Vec<usize> {

@@ -116,6 +116,11 @@ pub enum Rule {
     /// for audited golden-file updaters (explicitly opt-in, dev-only
     /// paths listed in `scripts/lint-allow.txt`).
     L012,
+    /// Dead public surface: a `pub`/`pub(crate)` fn under `crates/*/src`
+    /// whose name no other token in the workspace's Rust sources carries
+    /// (crate `src`/`tests`/`benches`, `src/`, `tests/`, `examples/`,
+    /// `benchmark/src`). Comments and doc mentions are not references.
+    L013,
 }
 
 impl Rule {
@@ -144,6 +149,7 @@ impl Rule {
             Rule::L010 => "L010",
             Rule::L011 => "L011",
             Rule::L012 => "L012",
+            Rule::L013 => "L013",
         }
     }
 
@@ -172,6 +178,7 @@ impl Rule {
             Rule::L010 => "stale-allow-entry",
             Rule::L011 => "serving-instrumentation-coverage",
             Rule::L012 => "raw-durable-write",
+            Rule::L013 => "pub-fn-unreferenced",
         }
     }
 
@@ -206,6 +213,7 @@ impl Rule {
             Rule::L010,
             Rule::L011,
             Rule::L012,
+            Rule::L013,
         ]
     }
 }

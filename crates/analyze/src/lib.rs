@@ -48,8 +48,8 @@ pub mod verify;
 pub use callgraph::CallGraph;
 pub use diag::{sort_diagnostics, Diagnostic, Rule};
 pub use lint::{
-    finding_json, lint_files, lint_source, lint_tree, repo_root, sort_findings, Allowlist,
-    LintFinding,
+    finding_json, lint_files, lint_source, lint_tree, repo_root, sort_findings,
+    unreferenced_pub_fns, Allowlist, LintFinding,
 };
 pub use modelcheck::ModelCheckReport;
 pub use tags::{derive, expr_uncertain, Tags};

@@ -85,6 +85,13 @@
 //!   recovery path then trusts. The golden-file updaters (opt-in via
 //!   `IOLAP_UPDATE_GOLDEN`) live in test files, which the lints do not
 //!   scan, so no exception is allowlisted.
+//! * **L013 `pub-fn-unreferenced`** — every `pub`/`pub(crate)` fn under
+//!   `crates/*/src` must be named by some token of the workspace's Rust
+//!   sources other than a `fn NAME` definition: crate `src`/`tests`/
+//!   `benches`, `src/`, `tests/`, `examples/` and `benchmark/src`.
+//!   Comments and doc mentions do not count. Dead public surface is
+//!   deleted, not kept "for later"; the allowlist carries no L013 entry.
+//!   Whole-workspace, so it runs in [`lint_tree`] only.
 //!
 //! Tokens after the first `#[cfg(test)]` attribute (the repo convention
 //! keeps test modules last) are not linted. Audited exceptions live in
@@ -290,6 +297,10 @@ const L008_EXEMPT: &[&str] = &["crates/core/src/faults.rs"];
 /// admission/shed decision, so coverage is checked there (allowlist-free,
 /// like L004/L010).
 const L011_FILES: &[&str] = &["crates/server/src/scheduler.rs"];
+
+/// Workspace directories outside `crates/` whose sources count as L013
+/// references (everything under `crates/` already does).
+const L013_REF_DIRS: &[&str] = &["src", "tests", "examples", "benchmark/src"];
 
 /// Source-line index: maps token lines back to chain-folded logical lines
 /// so finding text and line numbers match the historical (allowlist-
@@ -705,6 +716,75 @@ fn l009_findings(graph: &CallGraph) -> Vec<LintFinding> {
         .collect()
 }
 
+/// L013 over a workspace file set: `pub`/`pub(crate)` fns defined in the
+/// production prefix of a `crates/*/src` file whose name appears in no
+/// token of `files` except `fn NAME` definitions. `files` must hold every
+/// source that may name them, tests and examples included.
+pub fn unreferenced_pub_fns(files: &[(String, String)]) -> Vec<LintFinding> {
+    let lexed: Vec<(&str, Vec<Token>)> = files
+        .iter()
+        .map(|(path, src)| (path.as_str(), lexer::lex(src)))
+        .collect();
+    let mut referenced = BTreeSet::new();
+    for (_, toks) in &lexed {
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind == TokKind::Ident && !(i > 0 && toks[i - 1].is_ident("fn")) {
+                referenced.insert(t.text.as_str());
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (path, toks) in &lexed {
+        let in_src = path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"));
+        if !in_src {
+            continue;
+        }
+        for (line, name) in pub_fn_defs(lexer::production_prefix(toks)) {
+            if !referenced.contains(name) {
+                out.push(LintFinding {
+                    rule: Rule::L013,
+                    file: path.to_string(),
+                    line,
+                    text: format!("pub fn `{name}` is never named outside its definition"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// `(line, name)` of every `pub [(…)] [const|async|unsafe]* fn NAME`.
+fn pub_fn_defs(toks: &[Token]) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident("pub") {
+            continue;
+        }
+        let mut j = i + 1;
+        if toks.get(j).is_some_and(|p| p.is_punct('(')) {
+            while toks.get(j).is_some_and(|p| !p.is_punct(')')) {
+                j += 1;
+            }
+            j += 1;
+        }
+        while toks
+            .get(j)
+            .is_some_and(|q| q.is_ident("const") || q.is_ident("async") || q.is_ident("unsafe"))
+        {
+            j += 1;
+        }
+        if let (Some(kw), Some(name)) = (toks.get(j), toks.get(j + 1)) {
+            if kw.is_ident("fn") && name.kind == TokKind::Ident {
+                out.push((kw.line, name.text.as_str()));
+            }
+        }
+    }
+    out
+}
+
 /// One lint finding as a machine-readable JSON object (stable key order,
 /// mirroring [`crate::diag::diagnostic_json`] for the verifier side).
 pub fn finding_json(f: &LintFinding) -> String {
@@ -730,28 +810,42 @@ pub fn sort_findings(findings: &mut Vec<LintFinding>) {
 
 /// Lint every `crates/**/*.rs` file under `repo_root` (per-file rules),
 /// plus the interprocedural rules over the production sources
-/// (`crates/*/src/**`). Files are visited in sorted order and findings
-/// sorted by (file, line, rule), so the report is deterministic.
+/// (`crates/*/src/**`) and L013 over the whole workspace. Files are
+/// visited in sorted order and findings sorted by (file, line, rule), so
+/// the report is deterministic.
 pub fn lint_tree(repo_root: &Path) -> io::Result<Vec<LintFinding>> {
     let mut files = Vec::new();
     collect_rs_files(&repo_root.join("crates"), &mut files)?;
     files.sort();
     let mut findings = Vec::new();
+    let mut workspace = Vec::new();
     for path in files {
-        let rel = path
-            .strip_prefix(repo_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = repo_rel(repo_root, &path);
         let content = fs::read_to_string(&path)?;
         findings.extend(lint_source(&rel, &content));
+        workspace.push((rel, content));
     }
+    for dir in L013_REF_DIRS {
+        let mut extra = Vec::new();
+        collect_rs_files(&repo_root.join(dir), &mut extra)?;
+        for path in extra {
+            workspace.push((repo_rel(repo_root, &path), fs::read_to_string(&path)?));
+        }
+    }
+    findings.extend(unreferenced_pub_fns(&workspace));
     let prod = callgraph::collect_prod_sources(repo_root)?;
     let graph = CallGraph::build(&prod);
     findings.extend(l008_findings(&graph));
     findings.extend(l009_findings(&graph));
     sort_findings(&mut findings);
     Ok(findings)
+}
+
+fn repo_rel(repo_root: &Path, path: &Path) -> String {
+    path.strip_prefix(repo_root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
 }
 
 /// The repo root, located from this crate's manifest directory. Valid for

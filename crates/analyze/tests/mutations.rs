@@ -17,9 +17,10 @@
 //!   off-spine negative control pinning the rule's path sensitivity).
 //! * L008/L009 — lint-side mutations over virtual source fixtures: a panic
 //!   spliced into a hot-path helper, and a two-mutex ordering cycle.
+//! * L013 — a `pub fn` added with no caller anywhere in the workspace.
 
 use iolap_analyze::modelcheck::{to_planned, JoinKind, RightShape, Term, UnaryKind};
-use iolap_analyze::{lint_files, verify};
+use iolap_analyze::{lint_files, unreferenced_pub_fns, verify};
 use iolap_core::ops::ProjMode;
 use iolap_core::ops_agg::AggregateOp;
 use iolap_core::{rewrite, OnlineOp, OnlineQuery};
@@ -513,6 +514,46 @@ fn l011_trace_mark_removed_from_scheduler_transition() {
     let findings = lint_files(&mutated);
     assert_eq!(lint_rule_ids(&mutated), ["L011"], "{findings:?}");
     assert!(findings[0].text.contains("fn admit"), "{findings:?}");
+}
+
+#[test]
+fn l013_pub_fn_added_without_a_caller() {
+    // A pub fn named by a test file (or by other production code) is
+    // referenced; adding one that nothing names — only a doc comment
+    // mentions it — is exactly an L013, reported at its definition.
+    let lib = "/// Doubles `x`; see also [`triple`].\n\
+               pub fn double(x: u32) -> u32 { x * 2 }\n\
+               pub(crate) fn quad(x: u32) -> u32 { double(double(x)) }\n";
+    let test = "#[test]\nfn doubles() { assert_eq!(iolap_x::double(2) + quad(1), 8); }\n";
+    let clean = vec![
+        ("crates/x/src/lib.rs".to_string(), lib.to_string()),
+        ("crates/x/tests/double.rs".to_string(), test.to_string()),
+    ];
+    assert!(unreferenced_pub_fns(&clean).is_empty());
+
+    let mutated = vec![
+        (
+            "crates/x/src/lib.rs".to_string(),
+            format!("{lib}pub fn triple(x: u32) -> u32 {{ x * 3 }}\n"),
+        ),
+        ("crates/x/tests/double.rs".to_string(), test.to_string()),
+    ];
+    let findings = unreferenced_pub_fns(&mutated);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule.id(), "L013");
+    assert_eq!(
+        (findings[0].file.as_str(), findings[0].line),
+        ("crates/x/src/lib.rs", 4)
+    );
+    assert!(findings[0].text.contains("`triple`"), "{findings:?}");
+
+    // Definitions outside `crates/*/src` (tests, examples) are never
+    // findings themselves.
+    let in_tests = vec![(
+        "crates/x/tests/helpers.rs".to_string(),
+        "pub fn unused_helper() {}\n".to_string(),
+    )];
+    assert!(unreferenced_pub_fns(&in_tests).is_empty());
 }
 
 #[test]

@@ -15,8 +15,6 @@
 //! batch whose range still covers the new envelope (Theorem 1's
 //! failure-recover case).
 
-use crate::estimate::ErrorEstimate;
-
 /// `(min, max, stdev)` over the finite entries of `xs`; `None` when nothing
 /// is finite.
 pub fn summary_of(xs: &[f64]) -> Option<(f64, f64, f64)> {
@@ -259,13 +257,6 @@ impl RangeTracker {
                 }
             }
         }
-    }
-
-    /// Observe an [`ErrorEstimate`]'s trials through its raw values — see
-    /// [`RangeTracker::observe`].
-    pub fn observe_estimate(&mut self, est: &ErrorEstimate, trials: &[f64]) -> RangeOutcome {
-        debug_assert!(est.std_error >= 0.0);
-        self.observe(trials)
     }
 }
 

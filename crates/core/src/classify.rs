@@ -36,11 +36,6 @@ impl IntervalValue {
             IntervalValue::Unknown => Some(VariationRange::unbounded()),
         }
     }
-
-    /// Whether this side is deterministic.
-    pub fn is_point(&self) -> bool {
-        matches!(self, IntervalValue::Point(_))
-    }
 }
 
 /// Three-valued classification of a predicate on one tuple.

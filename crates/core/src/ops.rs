@@ -537,11 +537,6 @@ impl SelectOp {
         }
     }
 
-    /// Rows currently held in the non-deterministic set.
-    pub fn nondeterministic_len(&self) -> usize {
-        self.state.len()
-    }
-
     fn state_bytes(&self) -> usize {
         self.state.iter().map(ORow::approx_bytes).sum()
     }

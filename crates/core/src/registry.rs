@@ -499,6 +499,24 @@ mod tests {
     }
 
     #[test]
+    fn scaled_trials_share_the_estimates_units() {
+        let mut reg = AggRegistry::new();
+        reg.publish_at(
+            0,
+            key(),
+            vec![Value::Float(10.0)],
+            vec![Arc::from(vec![9.0, f64::NAN, 12.0])],
+            vec![4.0],
+            0.0,
+            usize::MAX,
+        );
+        let entry = reg.group(0, &key()).unwrap();
+        assert_eq!(entry.scaled_current(0), Value::Float(40.0));
+        assert_eq!(entry.scaled_trials(0), vec![36.0, 48.0]);
+        assert_eq!(entry.scaled_trials(7), Vec::<f64>::new());
+    }
+
+    #[test]
     fn unknown_ref_resolves_null() {
         let reg = AggRegistry::new();
         assert_eq!(reg.resolve(&aref(9, 0), RefMode::Current), Value::Null);

@@ -126,18 +126,6 @@ impl BatchedRelation {
         }
     }
 
-    /// Partition by target batch size in rows.
-    pub fn partition_by_size(
-        rel: &Relation,
-        batch_rows: usize,
-        seed: u64,
-        mode: PartitionMode,
-    ) -> Self {
-        let n = rel.len().max(1);
-        let num = n.div_ceil(batch_rows.max(1));
-        Self::partition(rel, num.max(1), seed, mode)
-    }
-
     /// Append `rel` as one new mini-batch at the end of the stream
     /// (continuous ingest: rows that arrived after partitioning).
     ///

@@ -41,11 +41,6 @@ impl Catalog {
     pub fn contains(&self, name: &str) -> bool {
         self.tables.contains_key(&name.to_ascii_lowercase())
     }
-
-    /// All registered table names (unsorted).
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
 }
 
 /// Catalog lookup errors.

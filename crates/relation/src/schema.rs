@@ -128,13 +128,6 @@ impl Schema {
         found.ok_or_else(|| SchemaError::NotFound(format_ref(qualifier, name)))
     }
 
-    /// Like [`Schema::index_of`] but panics with a readable message; for
-    /// internal plan construction where the column is known to exist.
-    pub fn expect_index(&self, name: &str) -> usize {
-        self.index_of(None, name)
-            .unwrap_or_else(|e| panic!("column lookup failed: {e}"))
-    }
-
     /// Concatenate two schemas (join output), requalifying nothing.
     pub fn join(&self, other: &Schema) -> Schema {
         let mut fields = self.fields.to_vec();

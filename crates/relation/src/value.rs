@@ -185,14 +185,6 @@ impl Value {
         }
     }
 
-    /// Lineage-reference view of the value.
-    pub fn as_ref_value(&self) -> Option<&AggRef> {
-        match self {
-            Value::Ref(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Total order used for ORDER BY and MIN/MAX. Nulls sort first; numeric
     /// variants compare by value with `Int`/`Float` coercion; distinct
     /// non-numeric variants compare by a fixed variant rank.
@@ -348,11 +340,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// True for `Int` and `Float`.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-
     /// Least upper bound of two types under numeric coercion. `Null` is the
     /// identity. Returns `None` for incompatible pairs.
     pub fn unify(self, other: DataType) -> Option<DataType> {

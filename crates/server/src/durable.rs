@@ -3,7 +3,8 @@
 //! The scheduler spills every admitted session into `iolap-store` segments
 //! so a restarted server can rebuild its live sessions and re-deliver
 //! byte-identical report streams (wall-clock fields excluded — see
-//! `tests/restart.rs`):
+//! `tests/restart.rs`). This module is the only one that knows the log
+//! format; the scheduler hands it sessions, drivers and reports:
 //!
 //! * `manifest.seg` — one `'S'` record per admitted session carrying the
 //!   verbatim submit request (the *origin*), and one `'D'` record when the
@@ -11,23 +12,34 @@
 //!   a matching `'D'`.
 //! * `session-{id}.seg` — the session's event log, in application order:
 //!   `'R'` (rendered batch-report line), `'C'` (checkpoint batch/digest/
-//!   bytes — the digest is the driver's structural fingerprint from PR 3,
-//!   reused here as the on-disk integrity check), and `'A'` (streaming
-//!   append: the canonical rows JSON).
+//!   bytes — the digest is the driver's structural fingerprint, reused
+//!   here as the on-disk integrity check), and `'A'` (streaming append:
+//!   the canonical rows JSON).
+//!
+//! [`DurableStore::log_batch`] is where the durable fault kinds land
+//! (`torn_write`, `stale_manifest`, `truncated_segment`), exactly where a
+//! real crash or filesystem lie would. The store counts its own records
+//! and write errors ([`DurableStore::write_counts`]), which the telemetry
+//! plane exposes as `iolap_durable_records_total` and
+//! `iolap_durable_write_errors_total`; a failed write degrades a session's
+//! recoverability but never fails the session.
 //!
 //! Recovery never trusts the log blindly: reports are *re-derived* by
-//! replaying batches through the driver (`IolapDriver::resume_replay`),
-//! and each logged `'C'` digest is checked against the freshly re-derived
-//! checkpoint fingerprint — a mismatch (the `stale_manifest` fault) is
-//! counted, never silently believed. Torn and truncated logs are the
-//! expected crash residue: the store's scanner hands recovery the longest
-//! valid prefix and replay simply restarts the suffix.
+//! replaying batches through the driver (`IolapDriver::resume_replay` over
+//! [`DurableStore::replay_events`]), and each logged `'C'` digest is
+//! checked against the freshly re-derived checkpoint fingerprint — a
+//! mismatch (the `stale_manifest` fault) is counted, never silently
+//! believed. Torn and truncated logs are the expected crash residue: the
+//! store's scanner hands recovery the longest valid prefix and replay
+//! simply restarts the suffix.
 //!
 //! Lock order: the scheduler's state lock may be held when taking the
-//! store lock (`finish` writes `'D'` under it); the store lock never
-//! acquires the state lock. srclint L009 checks the scheduler side.
+//! store lock (`finish` writes `'D'` under it, the exposition reads the
+//! write counts under it); the store lock never acquires the state lock.
+//! srclint L009 checks the scheduler side.
 
 use crate::wire::{parse, JVal};
+use iolap_core::{BatchReport, IolapDriver, ReplayEvent};
 use iolap_relation::{DataType, Field, Relation, Schema, Value};
 use iolap_store::{ensure_dir, scan_segment, truncate_tail, SegmentWriter, SEGMENT_HEADER_LEN};
 use std::collections::BTreeMap;
@@ -45,10 +57,13 @@ pub fn session_log_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("session-{id}.seg"))
 }
 
-/// Open segment writers for the manifest and every live session log.
+/// Open segment writers for the manifest and every live session log, and
+/// the outcome counts of every write through them.
 struct Inner {
     manifest: SegmentWriter,
     sessions: BTreeMap<u64, SegmentWriter>,
+    records: u64,
+    write_errors: u64,
 }
 
 /// The server's handle on its durable directory: one manifest writer plus
@@ -78,18 +93,10 @@ impl DurableStore {
             inner: Mutex::new(Inner {
                 manifest,
                 sessions: BTreeMap::new(),
+                records: 0,
+                write_errors: 0,
             }),
         })
-    }
-
-    /// The durable directory this store writes under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Whether every append is fsynced before returning.
-    pub fn fsync(&self) -> bool {
-        self.fsync
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -97,6 +104,24 @@ impl DurableStore {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
+    }
+
+    /// Run one store operation under the lock and count its outcome: a
+    /// record on success, a write error on failure (saturating).
+    fn counted<T>(&self, op: impl FnOnce(&mut Inner) -> io::Result<T>) -> io::Result<T> {
+        let mut g = self.lock();
+        let out = op(&mut g);
+        match &out {
+            Ok(_) => g.records = g.records.saturating_add(1),
+            Err(_) => g.write_errors = g.write_errors.saturating_add(1),
+        }
+        out
+    }
+
+    /// `(records written, writes failed)` since the store opened.
+    pub fn write_counts(&self) -> (u64, u64) {
+        let g = self.lock();
+        (g.records, g.write_errors)
     }
 
     fn writer_for<'a>(&self, g: &'a mut Inner, id: u64) -> io::Result<&'a mut SegmentWriter> {
@@ -118,22 +143,45 @@ impl DurableStore {
     /// creates the (empty) session log so a crash before the first batch
     /// still leaves a resumable session behind.
     pub fn log_submit(&self, id: u64, origin: &str) -> io::Result<()> {
-        let mut g = self.lock();
-        let payload = manifest_record(b'S', id, origin.as_bytes());
-        g.manifest.append(&payload)?;
-        let w = SegmentWriter::create(&session_log_path(&self.dir, id), self.fsync)?;
-        g.sessions.insert(id, w);
-        Ok(())
+        self.counted(|g| {
+            g.manifest
+                .append(&manifest_record(b'S', id, origin.as_bytes()))?;
+            let w = SegmentWriter::create(&session_log_path(&self.dir, id), self.fsync)?;
+            g.sessions.insert(id, w);
+            Ok(())
+        })
     }
 
     /// Record a session end: `'D'` + id + the end label. Drops the session
     /// log writer; the log file itself is kept for post-mortem reads.
     pub fn log_finish(&self, id: u64, end_label: &str) -> io::Result<()> {
-        let mut g = self.lock();
-        let payload = manifest_record(b'D', id, end_label.as_bytes());
-        g.manifest.append(&payload)?;
-        g.sessions.remove(&id);
-        Ok(())
+        self.counted(|g| {
+            g.manifest
+                .append(&manifest_record(b'D', id, end_label.as_bytes()))?;
+            g.sessions.remove(&id);
+            Ok(())
+        })
+    }
+
+    /// Spill one delivered batch: the rendered report line (`'R'`) and the
+    /// checkpoint fingerprint (`'C'`), plus whatever durable damage the
+    /// driver's fault plan injects at this batch — a torn `'R'` frame
+    /// (`torn_write`), a lying digest (`stale_manifest`), a chopped log
+    /// tail (`truncated_segment`). Failures are only counted: the session
+    /// keeps running with degraded recoverability.
+    pub fn log_batch(&self, id: u64, driver: &IolapDriver, report: &BatchReport) {
+        let faults = driver.fault_injector();
+        let torn = faults.and_then(|f| f.inject_torn_write(report.batch));
+        let stale = faults.and_then(|f| f.inject_stale_manifest(report.batch));
+        let chop = faults.and_then(|f| f.inject_truncated_segment(report.batch));
+        let _ = self.log_report(id, &crate::tcp::report_json(report), torn);
+        if let Some((digest, bytes)) = driver.checkpoint_for(report.batch) {
+            let digest = digest ^ stale.unwrap_or(0);
+            let _ = self.log_checkpoint(id, report.batch, digest, bytes as u64);
+        }
+        if let Some(fraction) = chop {
+            let _ = self.damage_truncate(id, fraction);
+        }
     }
 
     /// Spill one delivered batch report. `torn` is the `torn_write` fault
@@ -141,56 +189,99 @@ impl DurableStore {
     /// frame, after which the log's tail (this record and everything a
     /// still-running server appends after it) is lost to recovery.
     pub fn log_report(&self, id: u64, line: &str, torn: Option<f64>) -> io::Result<()> {
-        let mut g = self.lock();
-        let w = self.writer_for(&mut g, id)?;
-        let mut payload = Vec::with_capacity(1 + line.len());
-        payload.push(b'R');
-        payload.extend_from_slice(line.as_bytes());
-        match torn {
-            Some(fraction) => w.append_partial(&payload, fraction),
-            None => w.append(&payload),
-        }
+        self.counted(|g| {
+            let w = self.writer_for(g, id)?;
+            let mut payload = Vec::with_capacity(1 + line.len());
+            payload.push(b'R');
+            payload.extend_from_slice(line.as_bytes());
+            match torn {
+                Some(fraction) => w.append_partial(&payload, fraction),
+                None => w.append(&payload),
+            }
+        })
     }
 
     /// Spill one checkpoint fingerprint (`'C'` + batch + digest + bytes).
     /// The `stale_manifest` fault XORs the digest *before* this call — the
     /// store records what it is given; recovery detects the lie.
     pub fn log_checkpoint(&self, id: u64, batch: usize, digest: u64, bytes: u64) -> io::Result<()> {
-        let mut g = self.lock();
-        let w = self.writer_for(&mut g, id)?;
-        let mut payload = Vec::with_capacity(25);
-        payload.push(b'C');
-        payload.extend_from_slice(&(batch as u64).to_le_bytes());
-        payload.extend_from_slice(&digest.to_le_bytes());
-        payload.extend_from_slice(&bytes.to_le_bytes());
-        w.append(&payload)
+        self.counted(|g| {
+            let mut payload = Vec::with_capacity(25);
+            payload.push(b'C');
+            payload.extend_from_slice(&(batch as u64).to_le_bytes());
+            payload.extend_from_slice(&digest.to_le_bytes());
+            payload.extend_from_slice(&bytes.to_le_bytes());
+            self.writer_for(g, id)?.append(&payload)
+        })
     }
 
     /// Spill one applied streaming append (`'A'` + canonical rows JSON),
     /// written at apply time so replay order equals application order.
     pub fn log_append(&self, id: u64, rows_json: &str) -> io::Result<()> {
-        let mut g = self.lock();
-        let w = self.writer_for(&mut g, id)?;
-        let mut payload = Vec::with_capacity(1 + rows_json.len());
-        payload.push(b'A');
-        payload.extend_from_slice(rows_json.as_bytes());
-        w.append(&payload)
+        self.counted(|g| {
+            let mut payload = Vec::with_capacity(1 + rows_json.len());
+            payload.push(b'A');
+            payload.extend_from_slice(rows_json.as_bytes());
+            self.writer_for(g, id)?.append(&payload)
+        })
     }
 
     /// The `truncated_segment` fault: chop `fraction` of the log body off
     /// the session log's tail, as when a filesystem loses flushed bytes.
     /// The live writer keeps its old offset, so later appends land past a
-    /// zero-filled hole and are equally unreachable to the scanner.
+    /// zero-filled hole and are equally unreachable to the scanner. Counted
+    /// like a write.
     pub fn damage_truncate(&self, id: u64, fraction: f64) -> io::Result<u64> {
-        let mut g = self.lock();
-        let len = self.writer_for(&mut g, id)?.len();
-        let body = len.saturating_sub(SEGMENT_HEADER_LEN);
-        if body == 0 {
-            return Ok(len);
-        }
-        let chop = ((body as f64) * fraction.clamp(0.0, 1.0)) as u64;
-        let chop = chop.clamp(1, body);
-        truncate_tail(&session_log_path(&self.dir, id), chop)
+        self.counted(|g| {
+            let len = self.writer_for(g, id)?.len();
+            let body = len.saturating_sub(SEGMENT_HEADER_LEN);
+            if body == 0 {
+                return Ok(len);
+            }
+            let chop = ((body as f64) * fraction.clamp(0.0, 1.0)) as u64;
+            let chop = chop.clamp(1, body);
+            truncate_tail(&session_log_path(&self.dir, id), chop)
+        })
+    }
+
+    /// The manifest's sessions in admission order (see [`read_manifest`]).
+    pub fn manifest(&self) -> io::Result<Vec<ManifestEntry>> {
+        read_manifest(&self.dir)
+    }
+
+    /// The end label the manifest recorded for session `id`, when its last
+    /// admission has a `'D'` record; `None` for a live or unknown id (or an
+    /// unreadable manifest).
+    pub fn finished(&self, id: u64) -> Option<String> {
+        let entries = self.manifest().ok()?;
+        entries.into_iter().rev().find(|e| e.id == id)?.end
+    }
+
+    /// Session `id`'s logged history as replay events, in log order: each
+    /// `'R'` re-runs the next batch, each `'C'` checks its digest, each
+    /// `'A'` re-applies its rows decoded against `schema`. An append that
+    /// no longer decodes (damage that survived its CRC, or a schema
+    /// change) fails the whole session rather than let it resume
+    /// divergent. The error says why, for [`crate::RecoveryReport`].
+    pub fn replay_events(&self, id: u64, schema: &Schema) -> Result<Vec<ReplayEvent>, String> {
+        let records =
+            read_session_log(&self.dir, id).map_err(|e| format!("session log unreadable: {e}"))?;
+        let mut next_batch = 0usize;
+        records
+            .into_iter()
+            .map(|record| match record {
+                LogRecord::Report(_) => {
+                    next_batch += 1;
+                    Ok(ReplayEvent::Batch(next_batch - 1))
+                }
+                LogRecord::Checkpoint { batch, digest, .. } => {
+                    Ok(ReplayEvent::Checkpoint { batch, digest })
+                }
+                LogRecord::Append(rows_json) => decode_append(&rows_json, schema)
+                    .map(ReplayEvent::Append)
+                    .map_err(|e| format!("append record undecodable: {e}")),
+            })
+            .collect()
     }
 }
 

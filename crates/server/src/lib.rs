@@ -26,6 +26,7 @@
 //! * [`durable`] — crash-consistent persistence: the session manifest and
 //!   per-session append logs (`iolap-store` segments) that let a restarted
 //!   server resume live sessions and re-deliver byte-identical reports.
+//!   The only module that knows the log format.
 //!
 //! Scheduling is *cooperative*: a worker runs exactly one mini-batch
 //! (`IolapDriver::step`) per dispatch, then requeues the session behind its

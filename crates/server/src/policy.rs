@@ -7,6 +7,7 @@
 //! evaluates it after every delivered batch and retires the session (state
 //! `Draining`) the moment it is met, freeing its slot for queued work.
 
+use iolap_core::{BatchReport, Span};
 use std::fmt;
 use std::time::Duration;
 
@@ -46,6 +47,20 @@ impl StopPolicy {
     /// Run every batch: `Batches(usize::MAX)` — no driver has that many.
     pub fn complete() -> Self {
         StopPolicy::Batches(usize::MAX)
+    }
+
+    /// Whether the contract is met by `report`, the batch just delivered:
+    /// `batches_run` counts it, and `first_step` marks when the session
+    /// started running (`None` if it never did).
+    pub fn met(&self, report: &BatchReport, batches_run: usize, first_step: Option<Span>) -> bool {
+        match self {
+            StopPolicy::Batches(n) => batches_run >= *n,
+            StopPolicy::RelativeCI { target, .. } => report
+                .result
+                .max_relative_ci_halfwidth()
+                .is_some_and(|w| w <= *target),
+            StopPolicy::Deadline(d) => first_step.is_some_and(|s| s.elapsed() >= *d),
+        }
     }
 
     /// Short machine-readable label; also the policy's `Display` form.

@@ -15,27 +15,33 @@
 //!   fixed-seed runs. With `workers == 1` the whole global schedule is a
 //!   pure function of the submission sequence.
 //! * **Slots are freed at the first idle moment.** Completion, a met
-//!   [`StopPolicy`], cancellation, and failure all release the live slot
+//!   [`crate::StopPolicy`], cancellation, and failure all release the live slot
 //!   *and* the driver's memory immediately; undelivered reports survive in
 //!   a bounded buffer (state `Draining`) until the client drains them.
 //! * **Backpressure is explicit.** A full report buffer parks the session
 //!   (off the ready queue) until the client pops; a full wait queue rejects
 //!   `submit` with [`AdmitError::QueueFull`]; a breached memory ceiling
 //!   sheds `Queued` work earliest-deadline-first — never `Running` work.
+//! * **One admission path.** A submitted session, one rebuilt by
+//!   [`Server::recover`], and one leaving the wait queue all become live
+//!   through `place`; `Slot::new` is the only place a session's
+//!   bookkeeping is built. The durable log format, its fault damage and
+//!   its write counts belong to [`DurableStore`]: this module hands it
+//!   sessions, drivers and reports, never records.
 //!
 //! The only unbounded block in this crate is the worker park on the `work`
 //! condvar below (srclint L006 allowlists exactly that line); every client
 //! wait is timeout-bounded.
 
 use crate::durable::DurableStore;
-use crate::policy::StopPolicy;
 use crate::session::{
     AdmitError, SessionEnd, SessionHandle, SessionSpec, SessionState, SessionSummary,
 };
 use crate::telemetry::Telemetry;
 use iolap_core::trace::NO_BATCH;
 use iolap_core::{
-    BatchReport, DriverError, IolapDriver, Span, SpanId, TraceEvent, TraceMode, Tracer,
+    BatchReport, DriverError, IolapDriver, ResumeOutcome, Span, SpanId, TraceEvent, TraceMode,
+    Tracer,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -239,6 +245,43 @@ struct Slot {
 }
 
 impl Slot {
+    /// The one constructor: a session admitted around `driver`. `replayed`
+    /// is what [`Server::recover`] re-derived for a session rebuilt from
+    /// the durable log — its batches count as run (the session is already
+    /// `Running`) and its regenerated reports wait in the buffer.
+    fn new(driver: IolapDriver, spec: SessionSpec, replayed: Option<ResumeOutcome>) -> Slot {
+        let restored = replayed.is_some();
+        let (batches_run, reports) = replayed
+            .map(|r| (r.replayed_batches, r.reports))
+            .unwrap_or_default();
+        let running = batches_run > 0;
+        Slot {
+            spec,
+            seed: driver.config().seed,
+            total_batches: driver.num_batches(),
+            state: if running {
+                SessionState::Running
+            } else {
+                SessionState::Queued
+            },
+            end: None,
+            end_seq: None,
+            stream_table: driver.stream_table().to_string(),
+            driver: Some(driver),
+            batches_run,
+            reports: reports.into(),
+            cancel: false,
+            waiting_buffer: false,
+            holds_slot: false,
+            mem_bytes: 0,
+            submit_span: Span::start(),
+            first_step: running.then(Span::start),
+            finish_elapsed: None,
+            pending_appends: VecDeque::new(),
+            restored,
+        }
+    }
+
     fn ready_key(&self, id: u64) -> ReadyKey {
         ReadyKey {
             priority: self.spec.priority,
@@ -271,6 +314,21 @@ struct State {
     /// Fleet telemetry rollups, updated under this same lock (no second
     /// mutex, no new lock order for the L009 analysis to chase).
     telemetry: Telemetry,
+}
+
+impl State {
+    /// The admission counters as [`Server::stats`] and the exposition read
+    /// them.
+    fn stats(&self) -> ServerStats {
+        ServerStats {
+            live: self.live,
+            queued: self.queued.len(),
+            admitted: self.admitted,
+            rejected: self.rejected,
+            shed: self.shed,
+            mem_bytes: live_mem(self),
+        }
+    }
 }
 
 /// State shared between the [`Server`], its workers, and every
@@ -319,7 +377,11 @@ impl Shared {
     /// Pop the oldest undelivered report. Re-readies a buffer-parked
     /// session and flips `Draining → Done` when the last report leaves.
     pub(crate) fn pop_report(&self, id: u64) -> Option<BatchReport> {
-        let mut st = lock(self);
+        self.pop_locked(&mut lock(self), id)
+    }
+
+    /// [`Shared::pop_report`] under a state guard the caller already holds.
+    fn pop_locked(&self, st: &mut State, id: u64) -> Option<BatchReport> {
         let slot = st.sessions.get_mut(&id)?;
         let report = slot.reports.pop_front()?;
         if slot.waiting_buffer && !slot.cancel && slot.driver.is_some() {
@@ -341,20 +403,20 @@ impl Shared {
         Some(report)
     }
 
-    /// Bounded wait for the next report (guard held across check + wait,
-    /// so no wakeup between them is lost). `None` on timeout or when the
-    /// session is terminal with an empty buffer.
-    pub(crate) fn recv_report(&self, id: u64, timeout: Duration) -> Option<BatchReport> {
+    /// The one bounded client wait: re-check `ready` under the state guard
+    /// on every wakeup (the guard is held across check and wait, so no
+    /// wakeup between them is lost) until it yields a value or `timeout`
+    /// passes (`None`).
+    fn wait_until<T>(
+        &self,
+        timeout: Duration,
+        mut ready: impl FnMut(&mut State) -> Option<T>,
+    ) -> Option<T> {
         let start = Span::start();
         let mut st = lock(self);
         loop {
-            let slot = st.sessions.get(&id)?;
-            if !slot.reports.is_empty() {
-                drop(st);
-                return self.pop_report(id);
-            }
-            if slot.state.is_terminal() {
-                return None;
+            if let Some(out) = ready(&mut st) {
+                return Some(out);
             }
             let elapsed = start.elapsed();
             if elapsed >= timeout {
@@ -368,26 +430,32 @@ impl Shared {
         }
     }
 
+    /// Bounded wait for the next report, popped under the guard that saw
+    /// it (a cloned handle cannot take it in between). `None` on timeout
+    /// or when the session is terminal with an empty buffer.
+    pub(crate) fn recv_report(&self, id: u64, timeout: Duration) -> Option<BatchReport> {
+        self.wait_until(timeout, |st| {
+            let Some(slot) = st.sessions.get(&id) else {
+                return Some(None);
+            };
+            if !slot.reports.is_empty() {
+                Some(self.pop_locked(st, id))
+            } else if slot.state.is_terminal() {
+                Some(None)
+            } else {
+                None
+            }
+        })
+        .flatten()
+    }
+
     /// Bounded wait until the session is finished (no more compute).
     pub(crate) fn wait_finished(&self, id: u64, timeout: Duration) -> bool {
-        let start = Span::start();
-        let mut st = lock(self);
-        loop {
-            match st.sessions.get(&id) {
-                None => return true,
-                Some(slot) if slot.state.is_finished() => return true,
-                Some(_) => {}
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= timeout {
-                return false;
-            }
-            let (guard, _) = self
-                .client
-                .wait_timeout(st, timeout - elapsed)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
+        self.wait_until(timeout, |st| {
+            let finished = st.sessions.get(&id).is_none_or(|s| s.state.is_finished());
+            finished.then_some(())
+        })
+        .is_some()
     }
 
     /// Cancel `id`. Synchronous when no worker holds the driver (queued,
@@ -465,22 +533,68 @@ fn live_mem(st: &State) -> usize {
         .sum()
 }
 
+/// Enter an admitted session into the slot table, the admission count and
+/// the telemetry rollups.
+fn register(st: &mut State, id: u64, slot: Slot) {
+    st.admitted += 1;
+    st.telemetry
+        .observe_submit(id, &slot.spec.label, slot.total_batches, &slot.spec.policy);
+    st.sessions.insert(id, slot);
+}
+
+/// The one admission path: give registered session `id` a free live slot,
+/// or queue it (FIFO) when none is free. `how` labels a direct admission
+/// in the trace (`direct`, `restored`, `from queue`).
+fn place(shared: &Shared, st: &mut State, id: u64, how: &str) {
+    let tracer = shared.tracer.as_deref();
+    // Placed ids always have a slot; if one ever goes missing, skip it
+    // rather than poisoning the scheduler lock with a panic.
+    let Some(slot) = st.sessions.get_mut(&id) else {
+        return;
+    };
+    if st.live >= shared.cfg.max_live {
+        let why = if slot.restored {
+            "restored, waiting for a slot"
+        } else {
+            "waiting for a slot"
+        };
+        trace_mark(tracer, "sess.queued", id, why);
+        st.queued.push_back(id);
+        return;
+    }
+    st.live += 1;
+    slot.holds_slot = true;
+    // A restored backlog that already fills the report buffer takes its
+    // slot parked, exactly as the uninterrupted run sat, and resumes
+    // compute as the client drains.
+    if !ready_or_park(shared, st, id, "restored with a full report buffer") {
+        trace_mark(tracer, "sess.admit", id, how);
+    }
+}
+
+/// Put live session `id` on the ready queue, or park it off the queue while
+/// its report buffer is full (the client's next pop re-readies it).
+/// Returns whether it parked.
+fn ready_or_park(shared: &Shared, st: &mut State, id: u64, why: &str) -> bool {
+    let Some(slot) = st.sessions.get_mut(&id) else {
+        return false;
+    };
+    if slot.reports.len() >= shared.cfg.report_buffer {
+        slot.waiting_buffer = true;
+        trace_mark(shared.tracer.as_deref(), "sess.park", id, why);
+        return true;
+    }
+    st.ready.insert(slot.ready_key(id));
+    false
+}
+
 /// Move waiting sessions into freed live slots (FIFO admission order).
 fn admit_from_queue(shared: &Shared, st: &mut State) {
     while st.live < shared.cfg.max_live {
         let Some(id) = st.queued.pop_front() else {
             return;
         };
-        // Queued ids always have a slot; if one ever goes missing, skip it
-        // rather than poisoning the scheduler lock with a panic.
-        let Some(slot) = st.sessions.get_mut(&id) else {
-            continue;
-        };
-        st.live += 1;
-        slot.holds_slot = true;
-        trace_mark(shared.tracer.as_deref(), "sess.admit", id, "from queue");
-        let key = slot.ready_key(id);
-        st.ready.insert(key);
+        place(shared, st, id, "from queue");
     }
 }
 
@@ -553,10 +667,7 @@ fn finish(shared: &Shared, st: &mut State, id: u64, end: SessionEnd) {
         // skips it. State lock held → store lock taken: the sanctioned
         // nesting direction.
         if let Some(durable) = &shared.durable {
-            match durable.log_finish(id, end.label()) {
-                Ok(()) => telemetry.observe_durable(1, 0),
-                Err(_) => telemetry.observe_durable(0, 1),
-            }
+            let _ = durable.log_finish(id, end.label());
         }
         slot.end = Some(end);
         slot.end_seq = Some(seq);
@@ -570,18 +681,6 @@ fn finish(shared: &Shared, st: &mut State, id: u64, end: SessionEnd) {
     if released {
         st.live -= 1;
         admit_from_queue(shared, st);
-    }
-}
-
-/// Whether `policy` is satisfied by the batch just delivered.
-fn policy_met(policy: &StopPolicy, report: &BatchReport, slot: &Slot) -> bool {
-    match policy {
-        StopPolicy::Batches(n) => slot.batches_run >= *n,
-        StopPolicy::RelativeCI { target, .. } => report
-            .result
-            .max_relative_ci_halfwidth()
-            .is_some_and(|w| w <= *target),
-        StopPolicy::Deadline(d) => slot.first_step.map(|s| s.elapsed() >= *d).unwrap_or(false),
     }
 }
 
@@ -639,8 +738,6 @@ fn worker_loop(shared: Arc<Shared>) {
         // counted — it never poisons the session.
         let mut appends_applied = 0u64;
         let mut appends_rejected = 0u64;
-        let mut durable_ok = 0u64;
-        let mut durable_err = 0u64;
         for rows_json in pending {
             let rel = crate::durable::decode_append(&rows_json, driver.stream_schema());
             let applied = rel.and_then(|rel| driver.append_rows(rel).map_err(|e| e.to_string()));
@@ -648,10 +745,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 Ok(_) => {
                     appends_applied += 1;
                     if let Some(durable) = shared.durable.as_deref() {
-                        match durable.log_append(id, &rows_json) {
-                            Ok(()) => durable_ok += 1,
-                            Err(_) => durable_err += 1,
-                        }
+                        let _ = durable.log_append(id, &rows_json);
                     }
                 }
                 Err(_) => appends_rejected += 1,
@@ -666,49 +760,12 @@ fn worker_loop(shared: Arc<Shared>) {
         let step: Result<Option<Result<BatchReport, DriverError>>, _> =
             catch_unwind(AssertUnwindSafe(|| driver.step()));
 
-        // Spill the delivered batch before re-entering the state lock:
-        // the rendered report line and the checkpoint fingerprint, plus
-        // any injected durable damage (the torn-write / truncated-segment
-        // / stale-manifest fault kinds land exactly here, where a real
-        // crash or filesystem lie would).
-        if let Some(durable) = shared.durable.as_deref() {
-            if let Ok(Some(Ok(report))) = &step {
-                let torn = driver
-                    .fault_injector()
-                    .and_then(|f| f.inject_torn_write(report.batch));
-                let stale = driver
-                    .fault_injector()
-                    .and_then(|f| f.inject_stale_manifest(report.batch));
-                let chop = driver
-                    .fault_injector()
-                    .and_then(|f| f.inject_truncated_segment(report.batch));
-                let line = crate::tcp::report_json(report);
-                match durable.log_report(id, &line, torn) {
-                    Ok(()) => durable_ok += 1,
-                    Err(_) => durable_err += 1,
-                }
-                if let Some((digest, bytes)) = driver.checkpoint_for(report.batch) {
-                    match durable.log_checkpoint(
-                        id,
-                        report.batch,
-                        digest ^ stale.unwrap_or(0),
-                        bytes as u64,
-                    ) {
-                        Ok(()) => durable_ok += 1,
-                        Err(_) => durable_err += 1,
-                    }
-                }
-                if let Some(fraction) = chop {
-                    match durable.damage_truncate(id, fraction) {
-                        Ok(_) => durable_ok += 1,
-                        Err(_) => durable_err += 1,
-                    }
-                }
-            }
+        // Spill the delivered batch before re-entering the state lock.
+        if let (Some(durable), Ok(Some(Ok(report)))) = (shared.durable.as_deref(), &step) {
+            durable.log_batch(id, &driver, report);
         }
 
         let mut st = lock(&shared);
-        let cfg = &shared.cfg;
         let outcome = {
             // If the slot vanished while we stepped (a bookkeeping bug, not
             // a reachable state), drop the orphan driver and move on.
@@ -717,7 +774,6 @@ fn worker_loop(shared: Arc<Shared>) {
                 telemetry,
                 ..
             } = &mut *st;
-            telemetry.observe_durable(durable_ok, durable_err);
             telemetry.observe_appends(appends_applied, appends_rejected);
             let Some(slot) = sessions.get_mut(&id) else {
                 continue;
@@ -738,7 +794,10 @@ fn worker_loop(shared: Arc<Shared>) {
                         + report.state_bytes_join
                         + report.state_bytes_other;
                     let done_all = driver.batches_done() >= driver.num_batches();
-                    let met = policy_met(&slot.spec.policy, &report, slot);
+                    let met = slot
+                        .spec
+                        .policy
+                        .met(&report, slot.batches_run, slot.first_step);
                     telemetry.observe_batch(
                         id,
                         slot.batches_run,
@@ -769,18 +828,7 @@ fn worker_loop(shared: Arc<Shared>) {
                     continue;
                 };
                 slot.driver = Some(driver);
-                if slot.reports.len() >= cfg.report_buffer {
-                    slot.waiting_buffer = true;
-                    trace_mark(
-                        shared.tracer.as_deref(),
-                        "sess.park",
-                        id,
-                        "report buffer full",
-                    );
-                } else {
-                    let key = slot.ready_key(id);
-                    st.ready.insert(key);
-                }
+                ready_or_park(&shared, &mut st, id, "report buffer full");
             }
         }
         // One shed victim per scheduling event: pressure that persists
@@ -791,6 +839,25 @@ fn worker_loop(shared: Arc<Shared>) {
         shared.work.notify_all();
         shared.client.notify_all();
     }
+}
+
+/// Rebuild session `id` for [`Server::recover`]: its driver from the
+/// origin request (through `factory`, as the wire `submit` builds one),
+/// then its logged history replayed through the driver. The error says why
+/// the session cannot be restored.
+fn rebuild(
+    durable: &DurableStore,
+    factory: &crate::tcp::SubmitFactory,
+    id: u64,
+    origin: &str,
+) -> Result<(IolapDriver, SessionSpec, ResumeOutcome), String> {
+    let req = crate::wire::parse(origin).map_err(|e| format!("origin unparsable: {e}"))?;
+    let (mut driver, spec) = factory(&req).map_err(|e| format!("factory rejected origin: {e}"))?;
+    let events = durable.replay_events(id, driver.stream_schema())?;
+    let outcome = driver
+        .resume_replay(&events)
+        .map_err(|e| format!("replay failed: {e}"))?;
+    Ok((driver, spec, outcome))
 }
 
 /// The multi-tenant serving core: a bounded worker pool cooperatively
@@ -821,7 +888,7 @@ impl Server {
         });
         let shared = Arc::new(Shared {
             tracer: Tracer::from_mode(cfg.trace_mode).map(Arc::new),
-            durable,
+            durable: durable.clone(),
             cfg: cfg.clone(),
             state: Mutex::new(State {
                 next_id: 0,
@@ -834,7 +901,7 @@ impl Server {
                 rejected: 0,
                 shed: 0,
                 shutdown: false,
-                telemetry: Telemetry::default(),
+                telemetry: Telemetry::with_store(durable),
             }),
             work: Condvar::new(),
             client: Condvar::new(),
@@ -897,67 +964,20 @@ impl Server {
         }
         let id = st.next_id;
         st.next_id += 1;
-        st.admitted += 1;
-        let seed = driver.config().seed;
-        let total_batches = driver.num_batches();
-        let stream_table = driver.stream_table().to_string();
         trace_mark(
             self.shared.tracer.as_deref(),
             "sess.submit",
             id,
             &format!("label={}", spec.label),
         );
-        st.telemetry
-            .observe_submit(id, &spec.label, total_batches, &spec.policy);
-        let mut slot = Slot {
-            spec,
-            seed,
-            total_batches,
-            state: SessionState::Queued,
-            end: None,
-            end_seq: None,
-            driver: Some(driver),
-            batches_run: 0,
-            reports: VecDeque::new(),
-            cancel: false,
-            waiting_buffer: false,
-            holds_slot: false,
-            mem_bytes: 0,
-            submit_span: Span::start(),
-            first_step: None,
-            finish_elapsed: None,
-            stream_table,
-            pending_appends: VecDeque::new(),
-            restored: false,
-        };
         // Record the admission durably before the session can be stepped
         // (state lock held, so no worker can spill — let alone finish —
         // the session ahead of its 'S' record).
-        if let Some(durable) = &self.shared.durable {
-            if let Some(origin) = origin {
-                match durable.log_submit(id, origin) {
-                    Ok(()) => st.telemetry.observe_durable(1, 0),
-                    Err(_) => st.telemetry.observe_durable(0, 1),
-                }
-            }
+        if let (Some(durable), Some(origin)) = (&self.shared.durable, origin) {
+            let _ = durable.log_submit(id, origin);
         }
-        if st.live < cfg.max_live {
-            st.live += 1;
-            slot.holds_slot = true;
-            trace_mark(self.shared.tracer.as_deref(), "sess.admit", id, "direct");
-            let key = slot.ready_key(id);
-            st.sessions.insert(id, slot);
-            st.ready.insert(key);
-        } else {
-            trace_mark(
-                self.shared.tracer.as_deref(),
-                "sess.queued",
-                id,
-                "waiting for a slot",
-            );
-            st.sessions.insert(id, slot);
-            st.queued.push_back(id);
-        }
+        register(&mut st, id, Slot::new(driver, spec, None));
+        place(&self.shared, &mut st, id, "direct");
         shed_over_ceiling(&self.shared, &mut st);
         drop(st);
         self.shared.work.notify_one();
@@ -980,11 +1000,7 @@ impl Server {
     pub fn append_rows(&self, table: &str, rows_json: &str) -> usize {
         let mut st = lock(&self.shared);
         let mut reached = 0usize;
-        let ids: Vec<u64> = st.sessions.keys().copied().collect();
-        for id in ids {
-            let Some(slot) = st.sessions.get_mut(&id) else {
-                continue;
-            };
+        for (&id, slot) in st.sessions.iter_mut() {
             if slot.end.is_some() || slot.cancel {
                 continue;
             }
@@ -1025,7 +1041,7 @@ impl Server {
         let Some(durable) = self.shared.durable.clone() else {
             return report;
         };
-        let entries = match crate::durable::read_manifest(durable.dir()) {
+        let entries = match durable.manifest() {
             Ok(entries) => entries,
             Err(e) => {
                 report
@@ -1054,68 +1070,10 @@ impl Server {
                 continue;
             }
             let id = entry.id;
-            let skip = |why: String, report: &mut RecoveryReport| {
-                report.skipped.push((id, why));
-            };
-            let req = match crate::wire::parse(&entry.origin) {
-                Ok(req) => req,
-                Err(e) => {
-                    skip(format!("origin unparsable: {e}"), &mut report);
-                    continue;
-                }
-            };
-            let (mut driver, spec) = match factory(&req) {
-                Ok(built) => built,
-                Err(e) => {
-                    skip(format!("factory rejected origin: {e}"), &mut report);
-                    continue;
-                }
-            };
-            let records = match crate::durable::read_session_log(durable.dir(), id) {
-                Ok(records) => records,
-                Err(e) => {
-                    skip(format!("session log unreadable: {e}"), &mut report);
-                    continue;
-                }
-            };
-            let mut events = Vec::with_capacity(records.len());
-            let mut next_batch = 0usize;
-            for record in &records {
-                match record {
-                    crate::durable::LogRecord::Report(_) => {
-                        events.push(iolap_core::ReplayEvent::Batch(next_batch));
-                        next_batch += 1;
-                    }
-                    crate::durable::LogRecord::Checkpoint { batch, digest, .. } => {
-                        events.push(iolap_core::ReplayEvent::Checkpoint {
-                            batch: *batch,
-                            digest: *digest,
-                        });
-                    }
-                    crate::durable::LogRecord::Append(rows_json) => {
-                        match crate::durable::decode_append(rows_json, driver.stream_schema()) {
-                            Ok(rel) => events.push(iolap_core::ReplayEvent::Append(rel)),
-                            Err(e) => {
-                                // An append that replayed fine when first
-                                // applied should replay fine now; a decode
-                                // failure means a damaged record survived
-                                // CRC (or a schema change) — skip the whole
-                                // session rather than resume divergent.
-                                skip(format!("append record undecodable: {e}"), &mut report);
-                                events.clear();
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if events.is_empty() && !records.is_empty() {
-                continue;
-            }
-            let outcome = match driver.resume_replay(&events) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    skip(format!("replay failed: {e}"), &mut report);
+            let (driver, spec, outcome) = match rebuild(&durable, factory, id, &entry.origin) {
+                Ok(rebuilt) => rebuilt,
+                Err(why) => {
+                    report.skipped.push((id, why));
                     continue;
                 }
             };
@@ -1123,15 +1081,13 @@ impl Server {
             report.reapplied_appends += outcome.reapplied_appends;
             report.stale_digests += outcome.stale_digests;
 
-            let cfg = &self.shared.cfg;
             let mut st = lock(&self.shared);
             if st.shutdown {
-                skip("server shutting down".to_string(), &mut report);
+                report
+                    .skipped
+                    .push((id, "server shutting down".to_string()));
                 continue;
             }
-            st.admitted += 1;
-            st.telemetry
-                .observe_submit(id, &spec.label, driver.num_batches(), &spec.policy);
             st.telemetry.observe_resume(
                 outcome.replayed_batches as u64,
                 outcome.reapplied_appends as u64,
@@ -1148,42 +1104,12 @@ impl Server {
             );
             let batches_run = outcome.replayed_batches;
             let done_all = driver.batches_done() >= driver.num_batches();
-            let seed = driver.config().seed;
-            let stream_table = driver.stream_table().to_string();
-            let mut slot = Slot {
-                spec,
-                seed,
-                total_batches: driver.num_batches(),
-                state: if batches_run > 0 {
-                    SessionState::Running
-                } else {
-                    SessionState::Queued
-                },
-                end: None,
-                end_seq: None,
-                driver: Some(driver),
-                batches_run,
-                reports: outcome.reports.into(),
-                cancel: false,
-                waiting_buffer: false,
-                holds_slot: false,
-                mem_bytes: 0,
-                submit_span: Span::start(),
-                first_step: if batches_run > 0 {
-                    Some(Span::start())
-                } else {
-                    None
-                },
-                finish_elapsed: None,
-                stream_table,
-                pending_appends: VecDeque::new(),
-                restored: true,
-            };
+            let slot = Slot::new(driver, spec, Some(outcome));
             let met = slot
                 .reports
                 .back()
-                .map(|r| policy_met(&slot.spec.policy, r, &slot))
-                .unwrap_or(false);
+                .is_some_and(|r| slot.spec.policy.met(r, batches_run, slot.first_step));
+            register(&mut st, id, slot);
             if done_all || met {
                 // The crash fell after the session's last step but before
                 // its 'D' record: finish it now (writing the 'D'), leaving
@@ -1195,38 +1121,9 @@ impl Server {
                         batches: batches_run,
                     }
                 };
-                st.sessions.insert(id, slot);
                 finish(&self.shared, &mut st, id, end);
-            } else if st.live < cfg.max_live {
-                st.live += 1;
-                slot.holds_slot = true;
-                if slot.reports.len() >= cfg.report_buffer {
-                    // The regenerated backlog already fills the report
-                    // buffer: park exactly as the uninterrupted run would
-                    // have, resuming compute as the client drains.
-                    slot.waiting_buffer = true;
-                    trace_mark(
-                        self.shared.tracer.as_deref(),
-                        "sess.park",
-                        id,
-                        "restored with a full report buffer",
-                    );
-                    st.sessions.insert(id, slot);
-                } else {
-                    trace_mark(self.shared.tracer.as_deref(), "sess.admit", id, "restored");
-                    let key = slot.ready_key(id);
-                    st.sessions.insert(id, slot);
-                    st.ready.insert(key);
-                }
             } else {
-                trace_mark(
-                    self.shared.tracer.as_deref(),
-                    "sess.queued",
-                    id,
-                    "restored, waiting for a slot",
-                );
-                st.sessions.insert(id, slot);
-                st.queued.push_back(id);
+                place(&self.shared, &mut st, id, "restored");
             }
             drop(st);
             report.resumed.push(id);
@@ -1253,29 +1150,15 @@ impl Server {
                 return ResumeStatus::Unknown;
             }
         }
-        if let Some(durable) = &self.shared.durable {
-            if let Ok(entries) = crate::durable::read_manifest(durable.dir()) {
-                if let Some(entry) = entries.iter().rev().find(|e| e.id == id) {
-                    if let Some(end) = &entry.end {
-                        return ResumeStatus::Finished(end.clone());
-                    }
-                }
-            }
+        match self.shared.durable.as_ref().and_then(|d| d.finished(id)) {
+            Some(end) => ResumeStatus::Finished(end),
+            None => ResumeStatus::Unknown,
         }
-        ResumeStatus::Unknown
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        let st = lock(&self.shared);
-        ServerStats {
-            live: st.live,
-            queued: st.queued.len(),
-            admitted: st.admitted,
-            rejected: st.rejected,
-            shed: st.shed,
-            mem_bytes: live_mem(&st),
-        }
+        lock(&self.shared).stats()
     }
 
     /// The server's sizing config.
@@ -1306,15 +1189,7 @@ impl Server {
     /// and shard-topology families for byte-deterministic comparison.
     pub fn exposition(&self, canonical: bool) -> String {
         let st = lock(&self.shared);
-        let stats = ServerStats {
-            live: st.live,
-            queued: st.queued.len(),
-            admitted: st.admitted,
-            rejected: st.rejected,
-            shed: st.shed,
-            mem_bytes: live_mem(&st),
-        };
-        crate::telemetry::render_exposition(&st.telemetry, &stats, canonical)
+        crate::telemetry::render_exposition(&st.telemetry, &st.stats(), canonical)
     }
 
     /// Stop the workers after their in-flight steps and join them.

@@ -265,13 +265,18 @@ impl SessionHandle {
             match self.recv_timeout(step_timeout) {
                 Some(r) => out.push(r),
                 None => {
-                    if self.state().is_terminal() {
+                    let state = self.state();
+                    if state.is_terminal() {
                         return out;
                     }
-                    if !self.state().is_finished() && self.try_recv().is_none() {
-                        // Timed out while the session still runs: give the
+                    if !state.is_finished() {
+                        // Timed out while the session still runs: keep a
+                        // report that landed since the wait, else give the
                         // caller what exists rather than spinning forever.
-                        return out;
+                        match self.try_recv() {
+                            Some(r) => out.push(r),
+                            None => return out,
+                        }
                     }
                 }
             }

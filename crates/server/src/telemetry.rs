@@ -6,7 +6,9 @@
 //! mutex, no new lock order): every delivered batch report merges its
 //! [`Metrics`] into the fleet and tenant rollups and appends the batch's
 //! relative-CI half-width to the session's bounded trajectory ring; every
-//! session end updates the stop-policy burn counters. Because `Metrics`
+//! session end updates the stop-policy burn counters. The durable write
+//! counts are the one exception: the [`DurableStore`] keeps them itself,
+//! and [`Telemetry::durable`] reads them from it. Because `Metrics`
 //! merge is pointwise-additive and commutative, the rollups are
 //! independent of worker interleaving — the exposition of a fixed-seed
 //! run is byte-identical across repeated runs (canonical mode; wall-clock
@@ -19,11 +21,13 @@
 //! many more batches a `RelativeCI` session needs. ROADMAP item 5's
 //! accuracy-as-a-resource scheduler will consume exactly this estimate.
 
+use crate::durable::DurableStore;
 use crate::policy::StopPolicy;
 use crate::session::SessionEnd;
 use iolap_core::Metrics;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Bound on each session's CI trajectory ring: enough to see the `c/√n`
 /// tail flatten, small enough to never matter for memory accounting.
@@ -142,10 +146,21 @@ pub struct Telemetry {
     tenants: BTreeMap<String, Metrics>,
     sessions: BTreeMap<u64, SessionSlo>,
     slo: SloCounters,
+    /// Every durable counter except the write counts, which `store` keeps.
     durable: DurableCounters,
+    store: Option<Arc<DurableStore>>,
 }
 
 impl Telemetry {
+    /// Empty rollups for a server whose durable writes (if any) go to
+    /// `store`.
+    pub fn with_store(store: Option<Arc<DurableStore>>) -> Telemetry {
+        Telemetry {
+            store,
+            ..Telemetry::default()
+        }
+    }
+
     /// Register a session at admission time.
     pub fn observe_submit(
         &mut self,
@@ -257,12 +272,6 @@ impl Telemetry {
         &self.slo
     }
 
-    /// Record durable-store write outcomes (spilled records vs errors).
-    pub fn observe_durable(&mut self, records: u64, errors: u64) {
-        self.durable.records = self.durable.records.saturating_add(records);
-        self.durable.write_errors = self.durable.write_errors.saturating_add(errors);
-    }
-
     /// Record streaming-append application outcomes.
     pub fn observe_appends(&mut self, applied: u64, rejected: u64) {
         self.durable.appends_applied = self.durable.appends_applied.saturating_add(applied);
@@ -277,9 +286,15 @@ impl Telemetry {
         self.durable.stale_digests = self.durable.stale_digests.saturating_add(stale);
     }
 
-    /// Durability-plane counters.
-    pub fn durable(&self) -> &DurableCounters {
-        &self.durable
+    /// Durability-plane counters; the write counts are read from the store
+    /// at call time.
+    pub fn durable(&self) -> DurableCounters {
+        let (records, write_errors) = self.store.as_ref().map_or((0, 0), |s| s.write_counts());
+        DurableCounters {
+            records,
+            write_errors,
+            ..self.durable
+        }
     }
 }
 

@@ -423,3 +423,141 @@ fn appends_survive_restart_at_their_original_position() {
     let post = poll_to_done(&server, &f, &mut sessions, id);
     assert_eq!(post, grown, "replayed append diverged from live apply");
 }
+
+/// `(name, detail)` of every scheduler mark for session `id`, in order.
+fn marks(server: &Server, id: u64) -> Vec<(&'static str, String)> {
+    server
+        .trace_events()
+        .into_iter()
+        .filter(|e| e.n == id && e.name.starts_with("sess."))
+        .map(|e| (e.name, e.detail))
+        .collect()
+}
+
+/// Recovery admits through the same placement as a submit: sessions past
+/// `max_live` queue, and a session whose regenerated backlog already fills
+/// the report buffer takes its slot parked — whether it is placed at
+/// recovery or later from the queue — and resumes as the client drains.
+/// Every stream still equals its uninterrupted run.
+#[test]
+fn recovery_beyond_max_live_queues_and_parks_full_backlogs() {
+    let f = factory();
+    let queries = ["C3", "C5", "C11", "C12"];
+    // Batches each session has stepped (and logged) at the kill.
+    let stepped = [2, 1, 2, 1];
+    let dir = scratch_dir("placement");
+    let ids: Vec<u64> = {
+        let server = Server::new(cfg(&dir).max_live(queries.len()));
+        let mut sessions = BTreeMap::new();
+        let ids: Vec<u64> = queries
+            .iter()
+            .map(|q| submit(&server, &f, &mut sessions, q))
+            .collect();
+        for (&id, &m) in ids.iter().zip(&stepped) {
+            for k in 0..m {
+                wait_for_boundary(sessions.get(&id).unwrap(), k + 1);
+                if k + 1 < m {
+                    let _ = poll_one(&server, &f, &mut sessions, id);
+                }
+            }
+        }
+        ids
+    };
+
+    let server = Server::new(
+        ServerConfig::with_workers(1)
+            .report_buffer(2)
+            .max_live(2)
+            .durable(dir.clone())
+            .trace(iolap_core::TraceMode::Journal),
+    );
+    let recovered = server.recover(&f);
+    assert_eq!(recovered.resumed, ids, "{recovered:?}");
+    let stats = server.stats();
+    assert_eq!((stats.live, stats.queued), (2, 2), "{stats:?}");
+    let park = (
+        "sess.park",
+        "restored with a full report buffer".to_string(),
+    );
+    assert!(marks(&server, ids[0]).contains(&park));
+    assert!(marks(&server, ids[1]).contains(&("sess.admit", "restored".to_string())));
+    for &id in &ids[2..] {
+        let queued = ("sess.queued", "restored, waiting for a slot".to_string());
+        assert!(marks(&server, id).contains(&queued));
+    }
+
+    let mut sessions = BTreeMap::new();
+    for &id in &ids {
+        let resp = handle_request(
+            &server,
+            &f,
+            &mut sessions,
+            &format!(r#"{{"op":"resume","session":{id}}}"#),
+        );
+        assert_eq!(
+            parse(&resp).unwrap().get("ok").and_then(JVal::as_bool),
+            Some(true),
+            "{resp}"
+        );
+    }
+    // Draining the live pair frees their slots: the third session (backlog
+    // 2) is admitted parked, the fourth (backlog 1) straight to ready.
+    let mut streams = BTreeMap::new();
+    for &id in &ids {
+        streams.insert(id, poll_to_done(&server, &f, &mut sessions, id));
+    }
+    assert!(marks(&server, ids[2]).contains(&park));
+    assert!(marks(&server, ids[3]).contains(&("sess.admit", "from queue".to_string())));
+    for (q, id) in queries.iter().zip(&ids) {
+        assert_eq!(streams[id], uninterrupted_baseline(&f, q), "{q}");
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The store counts its own writes: in a fault-free run,
+/// `iolap_durable_records_total` is exactly the number of frames the
+/// segment scanner reads back from the manifest and every session log.
+#[test]
+fn durable_records_total_counts_every_frame_on_disk() {
+    let f = factory();
+    let dir = scratch_dir("records");
+    let server = Server::new(cfg(&dir));
+    let mut sessions = BTreeMap::new();
+    let a = submit(&server, &f, &mut sessions, "C3");
+    wait_for_boundary(sessions.get(&a).unwrap(), 1);
+    let rows = r#"[[901,1,"cdn-x","SFO","US","isp-a","vod",12.5,3.5,1.25,2400,0]]"#;
+    let resp = handle_request(
+        &server,
+        &f,
+        &mut sessions,
+        &format!(r#"{{"op":"append","table":"sessions","rows":{rows}}}"#),
+    );
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    let b = submit(&server, &f, &mut sessions, "C5");
+    assert_eq!(
+        poll_to_done(&server, &f, &mut sessions, a).len(),
+        BATCHES + 1
+    );
+    assert_eq!(poll_to_done(&server, &f, &mut sessions, b).len(), BATCHES);
+
+    let mut frames = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name == "manifest.seg" || (name.starts_with("session-") && name.ends_with(".seg")) {
+            frames += iolap_store::scan_segment(&path).unwrap().frames.len();
+        }
+    }
+    // At least two 'S', two 'D', an 'R' per batch (nine) and the 'A'; a
+    // 'C' joins each checkpointed batch.
+    assert!(frames >= 2 * BATCHES + 6, "{frames}");
+    let expo = server.exposition(true);
+    assert!(
+        expo.contains(&format!("\niolap_durable_records_total {frames}\n")),
+        "{frames} frames on disk:\n{expo}"
+    );
+    assert!(expo.contains("\niolap_durable_write_errors_total 0\n"));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -102,21 +102,6 @@ pub enum BinaryOp {
     Or,
 }
 
-impl BinaryOp {
-    /// True for `= <> < <= > >=`.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Eq
-                | BinaryOp::Neq
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-        )
-    }
-}
-
 impl fmt::Display for BinaryOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
