@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the substrate operators: batch executor primitives,
-//! Poisson bootstrap draws, variation-range tracking, and predicate
-//! classification — the building blocks whose costs compose into the
-//! figure-level numbers.
+//! Poisson bootstrap draws, variation-range tracking, predicate
+//! classification and the aggregate partition fold — the building blocks
+//! whose costs compose into the figure-level numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iolap_bootstrap::{draw_row_into, poisson1, RangeTracker, VariationRange};
-use iolap_core::{classify, AggRegistry};
+use iolap_core::{
+    classify, fold_fragment_partition, AggRegistry, FoldFragment, FragKind, FragSrc, ORow,
+};
 use iolap_engine::{execute, plan_sql, CmpOp, Expr, FunctionRegistry};
 use iolap_relation::{AggRef, Row, Value};
 use iolap_workloads::conviva_catalog;
@@ -127,6 +129,40 @@ fn bench_batch_executor(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_fold_partition(c: &mut Criterion) {
+    // One full grid partition: two group columns (8 × 4 groups), weighted
+    // rows at 100 trials, COUNT/SUM/AVG over a float argument.
+    const TRIALS: usize = 100;
+    let rows: Vec<ORow> = (0..1024u64)
+        .map(|i| {
+            let mut weights = vec![0.0; TRIALS];
+            draw_row_into(42, i, &mut weights);
+            ORow {
+                values: vec![
+                    Value::Int((i % 8) as i64),
+                    Value::str(["a", "b", "c", "d"][(i / 8 % 4) as usize]),
+                    Value::Float((i % 97) as f64 * 0.5),
+                ]
+                .into(),
+                mult: 1.0,
+                weights: Some(weights.into()),
+            }
+        })
+        .collect();
+    let frag = FoldFragment {
+        agg_id: 0,
+        group_cols: vec![0, 1],
+        kinds: vec![FragKind::Count, FragKind::Sum, FragKind::Avg],
+        srcs: vec![FragSrc::Col(2), FragSrc::Col(2), FragSrc::Col(2)],
+        trials: TRIALS,
+    };
+    let mut g = quick(c);
+    g.bench_function("fold_partition_1k_rows", |b| {
+        b.iter(|| fold_fragment_partition(&frag, &rows, true).map(|p| p.len()))
+    });
+    g.finish();
+}
+
 fn bench_interval_width(c: &mut Criterion) {
     let mut g = quick(c);
     g.bench_function("variation_range_from_trials_100", |b| {
@@ -142,6 +178,7 @@ criterion_group!(
     bench_range_tracker,
     bench_classify,
     bench_batch_executor,
+    bench_fold_partition,
     bench_interval_width
 );
 criterion_main!(ops);

@@ -15,9 +15,9 @@ use crate::ops_join::{JoinOp, SemiJoinOp};
 use crate::registry::AggRegistry;
 use iolap_bootstrap::poisson::draw_row_into;
 use iolap_bootstrap::RangeOutcome;
-use iolap_engine::{CmpOp, EngineError, EvalContext, Expr, RefMode};
-use iolap_relation::kernels::filter::{filter_cmp_value, CmpKind};
-use iolap_relation::{Column, Relation, Schema, SelVec, Value};
+use iolap_engine::expr::{compare, truthy};
+use iolap_engine::{EngineError, EvalContext, Expr, RefMode};
+use iolap_relation::{Relation, Schema, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -548,21 +548,14 @@ impl SelectOp {
 
         if !self.uncertain_pred {
             let filter_span = crate::metrics::Span::start();
-            let plan = vector_filter_plan(&self.predicate);
+            let ectx = ctx.eval();
             filter_channel(
                 &self.predicate,
-                plan,
                 input.delta_certain,
                 &mut out.delta_certain,
-                ctx,
+                &ectx,
             )?;
-            filter_channel(
-                &self.predicate,
-                plan,
-                input.uncertain,
-                &mut out.uncertain,
-                ctx,
-            )?;
+            filter_channel(&self.predicate, input.uncertain, &mut out.uncertain, &ectx)?;
             filter_span.stop(&mut ctx.metrics, "select.filter_ns");
             out.exhausted = input.exhausted;
             ctx.close_op(sp, (out.delta_certain.len() + out.uncertain.len()) as u64);
@@ -672,80 +665,37 @@ impl SelectOp {
     }
 }
 
-/// Recognize `Col ϑ Lit` / `Lit ϑ Col` predicate shapes that the typed
-/// comparison kernels can run without materializing rows. Anything else
-/// (arithmetic, conjunctions, lineage literals) stays on the row path.
-fn vector_filter_plan(pred: &Expr) -> Option<(usize, CmpKind, &Value)> {
-    let Expr::Cmp { op, left, right } = pred else {
-        return None;
-    };
-    let kind = match op {
-        CmpOp::Eq => CmpKind::Eq,
-        CmpOp::Neq => CmpKind::Ne,
-        CmpOp::Lt => CmpKind::Lt,
-        CmpOp::Le => CmpKind::Le,
-        CmpOp::Gt => CmpKind::Gt,
-        CmpOp::Ge => CmpKind::Ge,
-    };
-    match (left.as_ref(), right.as_ref()) {
-        (Expr::Col(i), Expr::Lit(v)) => Some((*i, kind, v)),
-        (Expr::Lit(v), Expr::Col(i)) => Some((*i, kind.mirror(), v)),
-        _ => None,
-    }
-}
-
-/// Vectorized filter of one channel: build the predicate column once, run
-/// the comparison kernel to a selection vector, and move the selected rows
-/// into `out`. Returns the rows untouched (`Err`) when the kernel can't
-/// decide — lineage cells in the column or in the literal — so the caller
-/// falls back to row-at-a-time evaluation with identical semantics.
-fn filter_channel_vectorized(
-    rows: Vec<ORow>,
-    col: usize,
-    op: CmpKind,
-    lit: &Value,
-    out: &mut Vec<ORow>,
-) -> Result<(), Vec<ORow>> {
-    if rows.is_empty() {
-        return Ok(());
-    }
-    let (column, saw_lineage) = Column::from_cells(rows.iter().map(|r| &r.values[col]));
-    if saw_lineage {
-        return Err(rows);
-    }
-    let mut sel = SelVec::with_capacity(rows.len());
-    if !filter_cmp_value(&column, op, lit, &mut sel) {
-        return Err(rows);
-    }
-    let mut want = sel.iter();
-    let mut next = want.next();
-    for (i, row) in rows.into_iter().enumerate() {
-        if next == Some(i) {
-            out.push(row);
-            next = want.next();
-        }
-    }
-    Ok(())
-}
-
-/// Filter one channel of a deterministic SELECT: kernel path when the
-/// predicate shape matched, row-at-a-time `eval_predicate` otherwise.
+/// Filter one channel of a deterministic SELECT. A `Col ϑ Lit` / `Lit ϑ
+/// Col` predicate compares the cell in place with [`compare`] — what
+/// `Expr::Cmp` evaluates — and skips the expression walk; a lineage cell,
+/// and every row under any other predicate shape, takes `eval_predicate`.
 fn filter_channel(
     predicate: &Expr,
-    plan: Option<(usize, CmpKind, &Value)>,
     rows: Vec<ORow>,
     out: &mut Vec<ORow>,
-    ctx: &BatchCtx<'_>,
+    ectx: &EvalContext<'_>,
 ) -> Result<(), EngineError> {
-    let rows = match plan {
-        Some((col, op, lit)) => match filter_channel_vectorized(rows, col, op, lit, out) {
-            Ok(()) => return Ok(()),
-            Err(rows) => rows,
+    // (column, operator, literal, literal on the left)
+    let cell_cmp = match predicate {
+        Expr::Cmp { op, left, right } => match (left.as_ref(), right.as_ref()) {
+            (Expr::Col(i), Expr::Lit(v)) => Some((*i, *op, v, false)),
+            (Expr::Lit(v), Expr::Col(i)) => Some((*i, *op, v, true)),
+            _ => None,
         },
-        None => rows,
+        _ => None,
     };
     for row in rows {
-        if predicate.eval_predicate(&row.to_row(), &ctx.eval())? {
+        let keep = match cell_cmp {
+            Some((col, op, lit, lit_left))
+                if !matches!(row.values[col], Value::Ref(_) | Value::Pending(_)) =>
+            {
+                let cell = &row.values[col];
+                let (l, r) = if lit_left { (lit, cell) } else { (cell, lit) };
+                truthy(&compare(op, l, r))
+            }
+            _ => predicate.eval_predicate(&row.to_row(), ectx)?,
+        };
+        if keep {
             out.push(row);
         }
     }
@@ -951,5 +901,133 @@ mod tests {
         assert_eq!(memo.held(), 8..8);
         weights(&mut memo, 10, 2, &mut m);
         assert_eq!(memo.held(), 10..12);
+    }
+
+    use iolap_engine::CmpOp;
+    use iolap_relation::{AggRef, Catalog, DataType};
+    use proptest::prelude::*;
+
+    /// A cell or literal for the filter property: NULL, NaN, ±0.0, mixed
+    /// Int/Float, strings, bools, and lineage refs — two that resolve
+    /// through the test registry and one to a group never published.
+    fn filter_value() -> BoxedStrategy<Value> {
+        let lineage = |agg, column| {
+            Value::Ref(AggRef {
+                agg,
+                column,
+                key: Arc::from(Vec::new()),
+            })
+        };
+        prop_oneof![
+            2 => Just(Value::Null),
+            1 => Just(Value::Float(f64::NAN)),
+            1 => Just(Value::Float(0.0)),
+            1 => Just(Value::Float(-0.0)),
+            3 => (-3i64..3).prop_map(Value::Int),
+            3 => (-6i64..6).prop_map(|i| Value::Float(i as f64 * 0.5)),
+            2 => (0usize..3).prop_map(|i| Value::str(["a", "b", ""][i])),
+            2 => any::<bool>().prop_map(Value::Bool),
+            2 => (0u16..3).prop_map(move |c| match c {
+                2 => lineage(9, 0),
+                c => lineage(0, c),
+            }),
+        ]
+        .boxed()
+    }
+
+    /// Run a deterministic `SelectOp` over one streamed batch of `cells`
+    /// (column `c`, beside a small Int column `k`) and return the cells
+    /// it kept, with the cells `eval_predicate` keeps.
+    fn select_vs_eval(pred: Expr, cells: &[Value]) -> (Vec<Value>, Vec<Value>) {
+        let mut registry = AggRegistry::new();
+        registry.publish(
+            0,
+            Arc::from(Vec::new()),
+            vec![Value::Float(1.5), Value::Int(-1)],
+            vec![Arc::from(Vec::new()), Arc::from(Vec::new())],
+            0.1,
+        );
+        let schema = Schema::from_pairs(&[("c", DataType::Float), ("k", DataType::Int)]);
+        let delta = Relation::from_values(
+            schema.clone(),
+            (0i64..)
+                .zip(cells)
+                .map(|(i, v)| vec![v.clone(), Value::Int(i % 3 - 1)])
+                .collect(),
+        );
+        let scan = OnlineOp::Scan(ScanOp::new("t".into(), schema, true));
+        let mut op = SelectOp::new(scan, pred.clone(), false);
+        let catalog = Catalog::new();
+        let mut memo = WeightMemo::default();
+        let mut ctx = BatchCtx {
+            registry: &mut registry,
+            batch_index: 0,
+            scale: 1.0,
+            slack: 0.1,
+            trials: 2,
+            opt1: true,
+            opt2: true,
+            last_batch: true,
+            stream_delta: &delta,
+            stream_table: "t",
+            catalog: &catalog,
+            seed: 7,
+            weight_memo: &mut memo,
+            shards: None,
+            stats: BatchStats::default(),
+            metrics: crate::metrics::Metrics::new(),
+            outcomes: Vec::new(),
+            faults: None,
+            trace: None,
+            cur_span: crate::trace::SpanId::NONE,
+        };
+        let out = op.process(&mut ctx).unwrap();
+        assert!(out.uncertain.is_empty());
+        let kept = out
+            .delta_certain
+            .iter()
+            .map(|r| r.values[0].clone())
+            .collect();
+        let ectx = EvalContext::with_resolver(&registry);
+        let expect = delta
+            .rows()
+            .iter()
+            .filter(|r| pred.eval_predicate(r, &ectx).unwrap())
+            .map(|r| r.values[0].clone())
+            .collect();
+        (kept, expect)
+    }
+
+    const CMP_OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Neq,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    proptest! {
+        /// The deterministic `SelectOp` keeps exactly the rows
+        /// `eval_predicate` keeps, in input order: `Col ϑ Lit` in both
+        /// operand orders (cells compared in place; lineage cells resolved
+        /// per row) and, as the generic-path control, `Col ϑ Col`.
+        #[test]
+        fn deterministic_select_matches_eval_predicate(
+            cells in prop::collection::vec(filter_value(), 0..24),
+            lit in filter_value(),
+            op_i in 0usize..6,
+            shape in 0u8..3,
+        ) {
+            let (col, lit) = (Box::new(Expr::Col(0)), Box::new(Expr::Lit(lit)));
+            let (left, right) = match shape {
+                0 => (col, lit),
+                1 => (lit, col),
+                _ => (col, Box::new(Expr::Col(1))),
+            };
+            let pred = Expr::Cmp { op: CMP_OPS[op_i], left, right };
+            let (kept, expect) = select_vs_eval(pred, &cells);
+            prop_assert_eq!(kept, expect);
+        }
     }
 }

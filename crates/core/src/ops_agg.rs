@@ -74,20 +74,7 @@ impl TrialState {
     fn update_value(&mut self, v: &Value, row: &ORow) {
         match self {
             TrialState::Fast { kind, a, b } => {
-                // Same participation rule as `gather_numeric`: NULL never
-                // folds; non-numeric cells fold only for COUNT.
-                let x = v.as_f64();
-                if v.is_null() || (x.is_none() && *kind != FragKind::Count) {
-                    return;
-                }
-                shard::fold_trials(
-                    *kind,
-                    a,
-                    b,
-                    x.unwrap_or(0.0),
-                    row.mult,
-                    row.weights.as_deref(),
-                );
+                shard::fold_value(*kind, a, b, v, row.mult, row.weights.as_deref());
             }
             TrialState::Generic(accs) => {
                 for (t, acc) in accs.iter_mut().enumerate() {
@@ -102,18 +89,7 @@ impl TrialState {
     fn update_trial(&mut self, t: usize, v: &Value, w: f64) {
         match self {
             TrialState::Fast { kind, a, b } => {
-                if v.is_null() {
-                    return;
-                }
-                match kind {
-                    FragKind::Count => a[t] += w,
-                    FragKind::Sum | FragKind::Avg => {
-                        if let Some(x) = v.as_f64() {
-                            a[t] += w * x;
-                            b[t] += w;
-                        }
-                    }
-                }
+                shard::fold_value(*kind, &mut a[t..=t], &mut b[t..=t], v, w, None);
             }
             TrialState::Generic(accs) => accs[t].0.update(v, w),
         }
@@ -430,7 +406,7 @@ impl AggregateOp {
         !self.arg_uncertain.iter().any(|b| *b)
     }
 
-    /// Whether a columnar fast plan compiled for this aggregate. Exposed
+    /// Whether a fast plan (`FoldFragment`) compiled for this aggregate. Exposed
     /// for the static verifier (V009): a fast plan must never coexist
     /// with an uncertain aggregate argument.
     pub fn has_fast_plan(&self) -> bool {

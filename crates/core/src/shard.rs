@@ -1,4 +1,4 @@
-//! The fold grid: the partition-stable grid, the one columnar fold kernel
+//! The fold grid: the partition-stable grid, the one partition fold kernel
 //! that runs on every partition of it, and the [`ShardExec`] coordinator
 //! trait.
 //!
@@ -21,7 +21,7 @@
 //!
 //! A [`FoldFragment`] is the compiled fast plan of a vectorizable
 //! aggregate (builtin COUNT/SUM/AVG over bare columns or literals, no
-//! uncertain arguments). [`fold_partition`] is the only columnar fold in
+//! uncertain arguments). [`fold_partition`] is the only partition fold in
 //! the tree: the aggregate operator runs it on its own thread, shard
 //! workers run it on theirs, and it touches each (group, call) slot in
 //! row order — so a shard's partial *is* the slice of local state the
@@ -33,9 +33,9 @@ use iolap_engine::{
     Accumulator, AggCall, AggKind, AvgAcc, BuiltinAgg, CountAcc, EngineError, Expr, SumAcc,
 };
 use iolap_relation::kernels::fold::{
-    fold_count_uniform, fold_count_weighted, fold_sum_uniform, fold_sum_weighted, gather_numeric,
+    fold_count_uniform, fold_count_weighted, fold_sum_uniform, fold_sum_weighted,
 };
-use iolap_relation::{SelVec, Value};
+use iolap_relation::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -333,20 +333,28 @@ impl MainAcc {
 
 /// One row's contribution to every bootstrap trial of one (group, call)
 /// slot: `a[t] += m·w[t]·x`, `b[t] += m·w[t]` (§4.2), with `w ≡ 1` for rows
-/// that carry no weights. The only caller of the trial-fold kernels.
-pub(crate) fn fold_trials(
+/// that carry no weights — where a row meets the trial-fold kernels, and
+/// their only caller.
+///
+/// It also holds the participation rule: NULL never folds, and a
+/// non-numeric value folds only into COUNT (whose update ignores it).
+pub(crate) fn fold_value(
     kind: FragKind,
     a: &mut [f64],
     b: &mut [f64],
-    x: f64,
+    v: &Value,
     mult: f64,
     weights: Option<&[f64]>,
 ) {
-    match (kind, weights) {
-        (FragKind::Count, None) => fold_count_uniform(a, mult),
-        (FragKind::Count, Some(ws)) => fold_count_weighted(a, mult, ws),
-        (FragKind::Sum | FragKind::Avg, None) => fold_sum_uniform(a, b, x, mult),
-        (FragKind::Sum | FragKind::Avg, Some(ws)) => fold_sum_weighted(a, b, x, mult, ws),
+    if v.is_null() {
+        return;
+    }
+    match (kind, v.as_f64(), weights) {
+        (FragKind::Count, _, None) => fold_count_uniform(a, mult),
+        (FragKind::Count, _, Some(ws)) => fold_count_weighted(a, mult, ws),
+        (FragKind::Sum | FragKind::Avg, Some(x), None) => fold_sum_uniform(a, b, x, mult),
+        (FragKind::Sum | FragKind::Avg, Some(x), Some(ws)) => fold_sum_weighted(a, b, x, mult, ws),
+        (FragKind::Sum | FragKind::Avg, None, _) => {}
     }
 }
 
@@ -427,18 +435,18 @@ fn generic_codes(group_cols: &[usize], rows: &[ORow]) -> GroupCodes {
     (keys, codes)
 }
 
-/// The columnar fold of one grid partition (≤ [`PARTITION_ROWS`] rows):
-/// gather each call's argument column once, assign dense group codes with
-/// one hash probe per row, then fold main accumulators and trial vectors
-/// per row by code — no per-row key allocation, `EvalContext`, or
-/// expression evaluation. Float additions hit each (group, call) slot in
-/// input row order, exactly like the aggregate's row-at-a-time fold, so the
-/// partials rebuild into sketches bit-identical to the row path's. Groups
-/// come out in first-occurrence order.
+/// The fold of one grid partition (≤ [`PARTITION_ROWS`] rows): assign
+/// dense group codes with one hash probe per row, then fold each row's
+/// argument cells in place — main accumulator and [`fold_value`] per call
+/// — with no per-row key allocation, `EvalContext`, or expression
+/// evaluation. Float additions hit each (group, call) slot in input row
+/// order, exactly like the aggregate's row-at-a-time fold, so the partials
+/// rebuild into sketches bit-identical to the row path's. Groups come out
+/// in first-occurrence order.
 ///
-/// Returns `None` — nothing folded — when a lineage cell (`Ref`/`Pending`)
-/// shows up in an argument column; such rows need registry access and
-/// take the row path at the coordinator.
+/// Returns `None` — nothing escapes — when a lineage cell (`Ref`/`Pending`)
+/// shows up in an argument; such rows need registry access and take the
+/// row path at the coordinator.
 pub fn fold_partition(
     frag: &FoldFragment,
     rows: &[ORow],
@@ -447,43 +455,14 @@ pub fn fold_partition(
     if rows.is_empty() {
         return Some(Vec::new());
     }
-    // Pass A: gather argument columns (bails before any group state
-    // exists when a lineage cell appears).
-    let ncalls = frag.srcs.len();
-    let mut xs: Vec<Vec<f64>> = vec![Vec::new(); ncalls];
-    let mut sels: Vec<SelVec> = (0..ncalls)
-        .map(|_| SelVec::with_capacity(rows.len()))
-        .collect();
-    for (c, src) in frag.srcs.iter().enumerate() {
-        let count_kind = frag.kinds[c] == FragKind::Count;
-        let ok = match src {
-            FragSrc::Col(j) => gather_numeric(
-                rows.iter().map(|r| &r.values[*j]),
-                count_kind,
-                &mut xs[c],
-                &mut sels[c],
-            ),
-            FragSrc::Lit(v) => gather_numeric(
-                std::iter::repeat_n(v, rows.len()),
-                count_kind,
-                &mut xs[c],
-                &mut sels[c],
-            ),
-        };
-        if !ok {
-            return None;
-        }
-    }
-    // Pass B: dense group codes in first-occurrence order, matching the
-    // row path's `entry` order.
+    // Dense group codes in first-occurrence order, matching the row path's
+    // `entry` order.
     let (keys, codes) = match frag.group_cols.as_slice() {
         // Global aggregate: every row is the one (empty-key) group.
         [] => (vec![Vec::new()], vec![0; rows.len()]),
         [g] => typed_codes(*g, rows).unwrap_or_else(|| generic_codes(&frag.group_cols, rows)),
         cols => generic_codes(cols, rows),
     };
-    // Pass C: fold per row by code — main accumulator on every row, trial
-    // kernels on participating rows (per-call selection cursors).
     struct Slot {
         acc: MainAcc,
         a: Vec<f64>,
@@ -500,26 +479,27 @@ pub fn fold_partition(
             .collect()
     };
     let mut groups: Vec<Vec<Slot>> = keys.iter().map(new_group).collect();
-    let mut cursors = vec![0usize; ncalls];
-    for (i, row) in rows.iter().enumerate() {
-        for (c, slot) in groups[codes[i]].iter_mut().enumerate() {
-            let v: &Value = match &frag.srcs[c] {
+    for (row, &code) in rows.iter().zip(&codes) {
+        let calls = frag.srcs.iter().zip(&frag.kinds);
+        for (slot, (src, &kind)) in groups[code].iter_mut().zip(calls) {
+            let v: &Value = match src {
                 FragSrc::Col(j) => &row.values[*j],
                 FragSrc::Lit(l) => l,
             };
-            slot.acc.update(v, row.mult);
-            let cur = cursors[c];
-            if cur < sels[c].len() && sels[c].get(cur) == i {
-                cursors[c] = cur + 1;
-                fold_trials(
-                    frag.kinds[c],
-                    &mut slot.a,
-                    &mut slot.b,
-                    xs[c][cur],
-                    row.mult,
-                    row.weights.as_deref(),
-                );
+            // Defensive: `FoldFragment::compile` already refuses an
+            // uncertain argument (V009 pins it).
+            if matches!(v, Value::Ref(_) | Value::Pending(_)) {
+                return None;
             }
+            slot.acc.update(v, row.mult);
+            fold_value(
+                kind,
+                &mut slot.a,
+                &mut slot.b,
+                v,
+                row.mult,
+                row.weights.as_deref(),
+            );
         }
     }
     // Close the partition: snapshot each accumulator into its wire form.
@@ -763,19 +743,56 @@ pub(crate) mod tests {
 
     #[test]
     fn interpreter_bails_on_lineage_cells() {
-        let rows = vec![row(
-            vec![
-                Value::Int(1),
-                Value::Ref(iolap_relation::AggRef {
-                    agg: 0,
-                    column: 0,
-                    key: Arc::from(Vec::new()),
-                }),
-            ],
-            1.0,
-            None,
-        )];
+        let lineage = || {
+            Value::Ref(iolap_relation::AggRef {
+                agg: 0,
+                column: 0,
+                key: Arc::from(Vec::new()),
+            })
+        };
+        let plain = |g: i64, x: f64| row(vec![Value::Int(g), Value::Float(x)], 1.0, None);
+        let rows = vec![row(vec![Value::Int(1), lineage()], 1.0, None)];
         assert_eq!(fold_fragment_partition(&frag(), &rows, true), None);
+        // The bail sits inside the fold loop: a lineage argument in the
+        // last row of a multi-group partition, after every group has
+        // already folded, still declines the whole slice.
+        let mut rows: Vec<ORow> = (0..6).map(|i| plain(i % 3, i as f64)).collect();
+        rows.push(row(vec![Value::Int(2), lineage()], 1.0, None));
+        assert_eq!(fold_fragment_partition(&frag(), &rows, true), None);
+        // ... and so does one in the second partition of the grid, after
+        // the first has folded cleanly.
+        let mut rows: Vec<ORow> = (0..2050).map(|i| plain(i % 4, i as f64)).collect();
+        rows[PARTITION_ROWS + 5] = row(vec![Value::Int(1), lineage()], 1.0, None);
+        assert_eq!(fold_fragment_partition(&frag(), &rows, true), None);
+    }
+
+    /// The participation rule lives in `fold_value`: NULL never folds; a
+    /// non-numeric value folds only into COUNT; a numeric value folds into
+    /// every kind.
+    #[test]
+    fn fold_value_skips_nulls_and_nonnumeric_per_kind() {
+        let fold = |kind, v: &Value| {
+            let (mut a, mut b) = (vec![0.0; 2], vec![0.0; 2]);
+            fold_value(kind, &mut a, &mut b, v, 2.0, Some(&[1.0, 3.0]));
+            (a, b)
+        };
+        let none = (vec![0.0; 2], vec![0.0; 2]);
+        for kind in [FragKind::Count, FragKind::Sum, FragKind::Avg] {
+            assert_eq!(fold(kind, &Value::Null), none);
+        }
+        let count = (vec![2.0, 6.0], vec![0.0; 2]);
+        assert_eq!(fold(FragKind::Count, &Value::str("x")), count);
+        assert_eq!(fold(FragKind::Count, &Value::Bool(true)), count);
+        assert_eq!(fold(FragKind::Count, &Value::Float(2.5)), count);
+        for kind in [FragKind::Sum, FragKind::Avg] {
+            assert_eq!(fold(kind, &Value::str("x")), none);
+            assert_eq!(fold(kind, &Value::Bool(true)), none);
+            assert_eq!(fold(kind, &Value::Int(1)), (vec![2.0, 6.0], vec![2.0, 6.0]));
+            assert_eq!(
+                fold(kind, &Value::Float(2.5)),
+                (vec![5.0, 15.0], vec![2.0, 6.0])
+            );
+        }
     }
 
     #[test]

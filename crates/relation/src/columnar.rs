@@ -1,5 +1,7 @@
-//! Typed columnar batches: the SoA (structure-of-arrays) representation of
-//! the hot delta/bootstrap path.
+//! Typed columnar batches: the SoA (structure-of-arrays) form of a
+//! mini-batch, reached only through the row ⇄ batch facade
+//! (`kernels/facade.rs`). The engine's operators read `ORow` cells in
+//! place and build no `Batch`.
 //!
 //! A [`Batch`] holds one mini-batch of tuples column-wise: each column is a
 //! typed vector ([`ColumnData`]) plus an optional validity [`Bitmap`]

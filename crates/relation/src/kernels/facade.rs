@@ -1,8 +1,9 @@
 //! Row ⇄ columnar facade: the one place where batches materialize rows.
 //!
-//! `Batch::from_rows`/`to_rows` keep the row-oriented `Relation` API as a
-//! compatibility layer so operators can migrate to columnar execution
-//! incrementally. Conversion is value-exact in both directions (strict
+//! `Batch::from_rows`/`to_rows` convert between the row-oriented
+//! `Relation` the engine runs on and a columnar [`Batch`]; the benchmark
+//! probes time this conversion and the kernels behind it. Conversion is
+//! value-exact in both directions (strict
 //! column typing — see [`crate::columnar`]), which the
 //! `partition round-trip` property test pins.
 //!

@@ -1,13 +1,16 @@
-//! Comparison kernels: column ϑ literal → selection vector.
+//! Comparison kernel: column ϑ numeric literal → selection vector.
 //!
-//! Each kernel appends the ordinals of passing rows to a [`SelVec`]. NULL
-//! (invalid) cells never pass — the engine's `compare` yields `false` for
-//! NULL on either side — and incomparable variant pairs (e.g. string column
-//! vs numeric literal) pass nothing, exactly like
+//! [`filter_cmp_f64`] appends the ordinals of passing rows to a [`SelVec`].
+//! NULL (invalid) cells never pass — the engine's `compare` yields `false`
+//! for NULL on either side — and incomparable variant pairs (a string or
+//! bool column vs a numeric literal) pass nothing, exactly like
 //! [`Value::compare`](crate::Value::compare) returning `None`.
+//!
+//! The engine does not call it: `SelectOp` compares `ORow` cells in place.
+//! It stays as the filter half of the row ⇄ batch facade, which the
+//! benchmark's `relation.filter_mrows_s` probe measures.
 
 use crate::columnar::{Column, ColumnData, SelVec};
-use crate::value::Value;
 use std::cmp::Ordering;
 
 /// Comparison operator kind, mirroring the engine's `CmpOp` (the relation
@@ -40,19 +43,6 @@ impl CmpKind {
             CmpKind::Le => ord != Ordering::Greater,
             CmpKind::Gt => ord == Ordering::Greater,
             CmpKind::Ge => ord != Ordering::Less,
-        }
-    }
-
-    /// The operator with its operands swapped: `lit ϑ col ⇔ col mirror(ϑ)
-    /// lit`.
-    pub fn mirror(self) -> CmpKind {
-        match self {
-            CmpKind::Eq => CmpKind::Eq,
-            CmpKind::Ne => CmpKind::Ne,
-            CmpKind::Lt => CmpKind::Gt,
-            CmpKind::Le => CmpKind::Ge,
-            CmpKind::Gt => CmpKind::Lt,
-            CmpKind::Ge => CmpKind::Le,
         }
     }
 }
@@ -107,109 +97,14 @@ pub fn filter_cmp_f64(col: &Column, op: CmpKind, lit: f64, sel: &mut SelVec) {
     }
 }
 
-/// `column ϑ string-literal`. Dictionary columns decide acceptance once per
-/// distinct string, then scan codes — the dictionary-heavy fast path.
-pub fn filter_cmp_str(col: &Column, op: CmpKind, lit: &str, sel: &mut SelVec) {
-    match &col.data {
-        ColumnData::Str { dict, codes } => {
-            let accept: Vec<bool> = dict.iter().map(|s| op.accepts((**s).cmp(lit))).collect();
-            match &col.validity {
-                None => {
-                    for (i, &c) in codes.iter().enumerate() {
-                        if accept[c as usize] {
-                            sel.push(i);
-                        }
-                    }
-                }
-                Some(valid) => {
-                    for (i, &c) in codes.iter().enumerate() {
-                        if valid.get(i) && accept[c as usize] {
-                            sel.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        ColumnData::Val(vals) => {
-            for (i, v) in vals.iter().enumerate() {
-                if let Some(s) = v.as_str() {
-                    if op.accepts(s.cmp(lit)) {
-                        sel.push(i);
-                    }
-                }
-            }
-        }
-        ColumnData::I64(_) | ColumnData::F64(_) | ColumnData::Bool(_) => {}
-    }
-}
-
-/// `column ϑ bool-literal`.
-pub fn filter_cmp_bool(col: &Column, op: CmpKind, lit: bool, sel: &mut SelVec) {
-    match &col.data {
-        ColumnData::Bool(vals) => match &col.validity {
-            None => {
-                for (i, &x) in vals.iter().enumerate() {
-                    if op.accepts(x.cmp(&lit)) {
-                        sel.push(i);
-                    }
-                }
-            }
-            Some(valid) => {
-                for (i, &x) in vals.iter().enumerate() {
-                    if valid.get(i) && op.accepts(x.cmp(&lit)) {
-                        sel.push(i);
-                    }
-                }
-            }
-        },
-        ColumnData::Val(vals) => {
-            for (i, v) in vals.iter().enumerate() {
-                if let Some(x) = v.as_bool() {
-                    if op.accepts(x.cmp(&lit)) {
-                        sel.push(i);
-                    }
-                }
-            }
-        }
-        ColumnData::I64(_) | ColumnData::F64(_) | ColumnData::Str { .. } => {}
-    }
-}
-
-/// Dispatch on the literal's variant. Returns `false` (kernel did not run,
-/// caller must fall back to row-at-a-time evaluation) for lineage-cell
-/// literals, which would need resolver access. A `NULL` literal is handled:
-/// it selects nothing, matching `compare`'s NULL rule.
-pub fn filter_cmp_value(col: &Column, op: CmpKind, lit: &Value, sel: &mut SelVec) -> bool {
-    match lit {
-        Value::Int(i) => {
-            filter_cmp_f64(col, op, *i as f64, sel);
-            true
-        }
-        Value::Float(f) => {
-            filter_cmp_f64(col, op, *f, sel);
-            true
-        }
-        Value::Str(s) => {
-            filter_cmp_str(col, op, s, sel);
-            true
-        }
-        Value::Bool(b) => {
-            filter_cmp_bool(col, op, *b, sel);
-            true
-        }
-        Value::Null => true,
-        Value::Ref(_) | Value::Pending(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::Column;
+    use crate::value::Value;
 
-    fn sel_of(col: &Column, op: CmpKind, lit: &Value) -> Vec<usize> {
+    fn sel_of(col: &Column, op: CmpKind, lit: f64) -> Vec<usize> {
         let mut sel = SelVec::new();
-        assert!(filter_cmp_value(col, op, lit, &mut sel));
+        filter_cmp_f64(col, op, lit, &mut sel);
         sel.iter().collect()
     }
 
@@ -217,50 +112,18 @@ mod tests {
     fn numeric_filter_with_nulls() {
         let cells = [Value::Int(1), Value::Null, Value::Int(5), Value::Int(3)];
         let (col, _) = Column::from_cells(cells.iter());
-        assert_eq!(sel_of(&col, CmpKind::Gt, &Value::Int(2)), vec![2, 3]);
-        assert_eq!(sel_of(&col, CmpKind::Le, &Value::Float(3.0)), vec![0, 3]);
-        assert_eq!(sel_of(&col, CmpKind::Eq, &Value::Int(5)), vec![2]);
-    }
-
-    #[test]
-    fn null_literal_selects_nothing() {
-        let cells = [Value::Int(1), Value::Int(2)];
-        let (col, _) = Column::from_cells(cells.iter());
-        assert!(sel_of(&col, CmpKind::Eq, &Value::Null).is_empty());
-    }
-
-    #[test]
-    fn string_dictionary_filter() {
-        let cells = [
-            Value::str("med box"),
-            Value::str("jumbo"),
-            Value::str("med box"),
-            Value::Null,
-        ];
-        let (col, _) = Column::from_cells(cells.iter());
-        assert_eq!(
-            sel_of(&col, CmpKind::Eq, &Value::str("med box")),
-            vec![0, 2]
-        );
-        assert_eq!(sel_of(&col, CmpKind::Ne, &Value::str("med box")), vec![1]);
-        assert_eq!(sel_of(&col, CmpKind::Lt, &Value::str("n")), vec![0, 1, 2]);
+        assert_eq!(sel_of(&col, CmpKind::Gt, 2.0), vec![2, 3]);
+        assert_eq!(sel_of(&col, CmpKind::Le, 3.0), vec![0, 3]);
+        assert_eq!(sel_of(&col, CmpKind::Eq, 5.0), vec![2]);
     }
 
     #[test]
     fn incomparable_variants_select_nothing() {
         let cells = [Value::str("a"), Value::str("b")];
         let (col, _) = Column::from_cells(cells.iter());
-        assert!(sel_of(&col, CmpKind::Gt, &Value::Int(0)).is_empty());
+        assert!(sel_of(&col, CmpKind::Gt, 0.0).is_empty());
         let cells = [Value::Bool(true)];
         let (col, _) = Column::from_cells(cells.iter());
-        assert!(sel_of(&col, CmpKind::Eq, &Value::Int(1)).is_empty());
-        assert_eq!(sel_of(&col, CmpKind::Eq, &Value::Bool(true)), vec![0]);
-    }
-
-    #[test]
-    fn mirror_swaps_operands() {
-        assert!(CmpKind::Lt.mirror().accepts(Ordering::Greater));
-        assert!(CmpKind::Ge.mirror().accepts(Ordering::Less));
-        assert!(CmpKind::Eq.mirror().accepts(Ordering::Equal));
+        assert!(sel_of(&col, CmpKind::Eq, 1.0).is_empty());
     }
 }

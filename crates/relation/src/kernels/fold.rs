@@ -8,9 +8,10 @@
 //! resamples on one pass. The float additions happen in the same order as
 //! the scalar reference (ascending trial index, rows in input order), so
 //! kernel and reference produce bit-identical state.
-
-use crate::columnar::SelVec;
-use crate::value::Value;
+//!
+//! Rows reach these kernels through one function, `core::shard::fold_value`,
+//! which reads the argument cell in place and owns the participation rule
+//! (NULL never folds; a non-numeric value folds only into COUNT).
 
 /// COUNT fold, unweighted row (no bootstrap weights attached): every trial
 /// gains the row's multiplicity.
@@ -56,43 +57,9 @@ pub fn merge_trials(dst: &mut [f64], src: &[f64]) {
     }
 }
 
-/// Gather one aggregate-argument column for a whole mini-batch: append to
-/// `sel` the ordinals of rows that participate in the trial fold and to
-/// `xs` their numeric argument (position-aligned with `sel`).
-///
-/// Participation matches the scalar fold exactly: NULL cells never fold;
-/// non-numeric cells fold only for COUNT (`count_kind`, where the argument
-/// value is irrelevant and recorded as `0.0`).
-///
-/// Returns `false` — without touching group state, and with `xs`/`sel`
-/// contents unspecified — when a lineage cell (`Ref`/`Pending`) appears:
-/// those need resolver access, so the caller must fall back to the
-/// row-at-a-time fold for the whole chunk.
-pub fn gather_numeric<'a>(
-    cells: impl Iterator<Item = &'a Value>,
-    count_kind: bool,
-    xs: &mut Vec<f64>,
-    sel: &mut SelVec,
-) -> bool {
-    for (i, v) in cells.enumerate() {
-        if matches!(v, Value::Ref(_) | Value::Pending(_)) {
-            return false;
-        }
-        let x = v.as_f64();
-        if v.is_null() || (x.is_none() && !count_kind) {
-            continue;
-        }
-        xs.push(x.unwrap_or(0.0));
-        sel.push(i);
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AggRef;
-    use std::sync::Arc;
 
     #[test]
     fn fold_kernels_match_scalar_reference() {
@@ -114,41 +81,5 @@ mod tests {
         assert_eq!(b2, [0.5, 0.5]);
         merge_trials(&mut a2, &[1.0, -2.0]);
         assert_eq!(a2, [3.0, 0.0]);
-    }
-
-    #[test]
-    fn gather_skips_nulls_and_nonnumeric_per_kind() {
-        let cells = [
-            Value::Int(1),
-            Value::Null,
-            Value::str("x"),
-            Value::Float(2.5),
-        ];
-        let mut xs = Vec::new();
-        let mut sel = SelVec::new();
-        assert!(gather_numeric(cells.iter(), false, &mut xs, &mut sel));
-        assert_eq!(xs, vec![1.0, 2.5]);
-        assert_eq!(sel.iter().collect::<Vec<_>>(), vec![0, 3]);
-        // COUNT keeps the non-numeric string row (value irrelevant).
-        xs.clear();
-        let mut sel = SelVec::new();
-        assert!(gather_numeric(cells.iter(), true, &mut xs, &mut sel));
-        assert_eq!(sel.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
-        assert_eq!(xs, vec![1.0, 0.0, 2.5]);
-    }
-
-    #[test]
-    fn gather_aborts_on_lineage() {
-        let cells = [
-            Value::Int(1),
-            Value::Ref(AggRef {
-                agg: 0,
-                column: 0,
-                key: Arc::from(Vec::new()),
-            }),
-        ];
-        let mut xs = Vec::new();
-        let mut sel = SelVec::new();
-        assert!(!gather_numeric(cells.iter(), true, &mut xs, &mut sel));
     }
 }

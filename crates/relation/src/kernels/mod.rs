@@ -1,4 +1,11 @@
-//! Vectorized kernels over columnar data.
+//! Vectorized kernels over columnar data and flat trial vectors.
+//!
+//! The engine's operators read `ORow` cells in place; the only kernels on
+//! its hot path are the [`fold`] trial kernels, which one function in the
+//! engine (`core::shard::fold_value`) calls per row and aggregate call.
+//! [`Batch`](crate::columnar::Batch), [`Column`](crate::columnar::Column)
+//! and [`filter::filter_cmp_f64`] remain as the row ⇄ batch facade that the
+//! benchmark probes measure; the engine builds no columns.
 //!
 //! Kernels follow two disciplines, enforced by srclint rule **L007**:
 //!
