@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate operators: batch executor primitives,
 //! Poisson bootstrap draws, variation-range tracking, predicate
-//! classification and the aggregate partition fold — the building blocks
-//! whose costs compose into the figure-level numbers.
+//! classification, the aggregate partition fold and the shard frame codec —
+//! the building blocks whose costs compose into the figure-level numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iolap_bootstrap::{draw_row_into, poisson1, RangeTracker, VariationRange};
@@ -163,6 +163,55 @@ fn bench_fold_partition(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_shard_frame(c: &mut Criterion) {
+    use iolap_server::wire::{fold_request_json, frag_json, parse, rows_from_json, rows_json};
+    // One full grid partition as a `shard.fold` request: 100 Poisson
+    // weights per row and Q1-like cells (two flag strings, an integral
+    // quantity, a fractional price and discount).
+    const TRIALS: usize = 100;
+    let rows: Vec<ORow> = (0..1024u64)
+        .map(|i| {
+            let mut weights = vec![0.0; TRIALS];
+            draw_row_into(42, i, &mut weights);
+            ORow {
+                values: vec![
+                    Value::str(["A", "N", "R"][(i % 3) as usize]),
+                    Value::str(["F", "O"][(i % 2) as usize]),
+                    Value::Float((i % 50 + 1) as f64),
+                    Value::Float(901.0 + i as f64 * 1.37),
+                    Value::Float((i % 11) as f64 * 0.01),
+                ]
+                .into(),
+                mult: 1.0,
+                weights: Some(weights.into()),
+            }
+        })
+        .collect();
+    let frag = FoldFragment {
+        agg_id: 0,
+        group_cols: vec![0, 1],
+        kinds: vec![FragKind::Sum, FragKind::Sum, FragKind::Avg, FragKind::Count],
+        srcs: vec![
+            FragSrc::Col(2),
+            FragSrc::Col(3),
+            FragSrc::Col(4),
+            FragSrc::Lit(Value::Int(1)),
+        ],
+        trials: TRIALS,
+    };
+    let frag_frame = frag_json(&frag).expect("a fast-plan fragment encodes");
+    let mut g = quick(c);
+    g.bench_function("shard_frame_1k_rows", |b| {
+        b.iter(|| {
+            let rows_frame = rows_json(&rows).expect("rows without lineage encode");
+            let request = fold_request_json(0, true, None, &frag_frame, &rows_frame);
+            let req = parse(&request).expect("an encoded request parses");
+            req.get("rows").and_then(rows_from_json).map(|r| r.len())
+        })
+    });
+    g.finish();
+}
+
 fn bench_interval_width(c: &mut Criterion) {
     let mut g = quick(c);
     g.bench_function("variation_range_from_trials_100", |b| {
@@ -179,6 +228,7 @@ criterion_group!(
     bench_classify,
     bench_batch_executor,
     bench_fold_partition,
+    bench_shard_frame,
     bench_interval_width
 );
 criterion_main!(ops);

@@ -3,8 +3,9 @@
 //! Every JSON document the workspace writes — line-protocol responses,
 //! durable report records, trace exports, analyzer reports — is built as a
 //! [`JVal`] and rendered by [`JVal::render`]. The one exception is the
-//! shard fold frames in `iolap_server::wire`, which stream rows of hex
-//! floats straight into a string; they use this module's [`escape`].
+//! shard fold frames in `iolap_server::wire`, which stream rows of
+//! integer weights and tagged cells straight into one buffer; they use
+//! this module's [`escape_into`].
 //!
 //! One number policy: an [`JVal::Int`] prints as its exact digits, a
 //! finite [`JVal::Num`] in Rust's shortest round-trip form (never an
@@ -243,7 +244,9 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// [`escape`] appended to `out`, for encoders that stream a document
+/// into one buffer.
+pub fn escape_into(out: &mut String, s: &str) {
     // Every byte that needs escaping is ASCII, so a byte scan never splits
     // a multi-byte character and clean runs are copied as whole slices.
     let mut clean = 0;

@@ -29,8 +29,8 @@ use crate::wire::{
 use iolap_core::shard::partition_bounds;
 use iolap_core::trace::{SpanId, Tracer};
 use iolap_core::{
-    fold_fragment_partition, EngineError, FoldFragment, FoldPartial, FragSrc, ORow, ShardExec,
-    ShardTraceCtx, ShardWorkerStats,
+    fold_fragment_partition, AccState, EngineError, FoldFragment, FoldPartial, FragKind, FragSrc,
+    ORow, ShardExec, ShardTraceCtx, ShardWorkerStats,
 };
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -272,6 +272,27 @@ struct BlockYield {
 /// coordinator must fold the whole grid locally.
 type BlockFold = Result<Option<BlockYield>, EngineError>;
 
+/// Whether a worker's partial has the shape of the fragment it answers:
+/// per group, one key cell per group column and one call per fragment
+/// call, each with the call's accumulator kind and `trials`-long trial
+/// vectors. The coordinator's merge zips calls and trial slots, so a
+/// missing call or a short vector would otherwise be dropped silently.
+fn partial_fits(frag: &FoldFragment, p: &FoldPartial) -> bool {
+    p.groups.iter().all(|g| {
+        g.key.len() == frag.group_cols.len()
+            && g.calls.len() == frag.kinds.len()
+            && g.calls.iter().zip(&frag.kinds).all(|(c, kind)| {
+                let same_kind = matches!(
+                    (&c.acc, kind),
+                    (AccState::Count { .. }, FragKind::Count)
+                        | (AccState::Sum { .. }, FragKind::Sum)
+                        | (AccState::Avg { .. }, FragKind::Avg)
+                );
+                same_kind && c.a.len() == frag.trials && c.b.len() == frag.trials
+            })
+    })
+}
+
 struct ShardConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -390,6 +411,7 @@ impl TcpShardPool {
     fn fold_remote(
         &self,
         block: Block,
+        frag: &FoldFragment,
         frag_frame: &str,
         rows: &[ORow],
         certain: bool,
@@ -420,8 +442,9 @@ impl TcpShardPool {
         let partials =
             partials.ok_or_else(|| EngineError::Plan("malformed shard partial".to_string()))?;
         // The reply comes from outside the process: it must hold exactly
-        // one partial per partition of this block, in grid order, or the
-        // merge would fold a wrong answer.
+        // one partial per partition of this block, in grid order, each
+        // shaped like the fragment sent, or the merge would fold a wrong
+        // answer.
         if !partials
             .iter()
             .map(|p| p.partition)
@@ -429,6 +452,11 @@ impl TcpShardPool {
         {
             return Err(EngineError::Plan(
                 "shard partials do not match the block sent".to_string(),
+            ));
+        }
+        if !partials.iter().all(|p| partial_fits(frag, p)) {
+            return Err(EngineError::Plan(
+                "shard partials do not match the fragment sent".to_string(),
             ));
         }
         let spans: Vec<SpanSummary> = match resp.get("spans") {
@@ -467,6 +495,7 @@ impl TcpShardPool {
     /// yields `None`.
     fn dispatch(
         &self,
+        frag: &FoldFragment,
         frag_frame: &str,
         rows: &[ORow],
         certain: bool,
@@ -489,8 +518,16 @@ impl TcpShardPool {
             })
             .collect();
         let trace_parent = trace.map(|t| (t.parent, t.batch));
-        let run_block =
-            |b: Block| self.fold_remote(b, frag_frame, &rows[b.lo..b.hi], certain, trace_parent);
+        let run_block = |b: Block| {
+            self.fold_remote(
+                b,
+                frag,
+                frag_frame,
+                &rows[b.lo..b.hi],
+                certain,
+                trace_parent,
+            )
+        };
         let results: Vec<BlockFold> = match blocks.as_slice() {
             [only] => vec![run_block(*only)],
             _ => std::thread::scope(|scope| {
@@ -561,7 +598,7 @@ impl ShardExec for TcpShardPool {
         let Some(frag_frame) = frag_json(frag) else {
             return Ok(None);
         };
-        self.dispatch(&frag_frame, rows, certain, trace)
+        self.dispatch(frag, &frag_frame, rows, certain, trace)
     }
 
     fn bytes_shipped(&self) -> u64 {
@@ -576,7 +613,7 @@ impl ShardExec for TcpShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolap_core::{FragKind, PARTITION_ROWS};
+    use iolap_core::{IolapConfig, IolapDriver, PartialGroup, PARTITION_ROWS};
     use iolap_relation::Value;
     use std::sync::Arc;
 
@@ -850,6 +887,82 @@ mod tests {
             } else {
                 assert!(got.is_err(), "{name}: {got:?}");
             }
+        }
+    }
+
+    /// A worker that answers every `shard.fold` honestly, then tampers
+    /// with the first group of each partial.
+    fn tampering_worker(tamper: fn(&mut PartialGroup)) -> std::net::SocketAddr {
+        fake_worker(move |_, line| {
+            let resp = wire::parse(&handle_shard_request(line)).unwrap();
+            let Some(JVal::Arr(items)) = resp.get("partials") else {
+                panic!("no partials in the worker's reply");
+            };
+            let mut partials: Vec<FoldPartial> = items
+                .iter()
+                .map(|p| partial_from_json(p).unwrap())
+                .collect();
+            for p in &mut partials {
+                if let Some(g) = p.groups.first_mut() {
+                    tamper(g);
+                }
+            }
+            fold_response_json(&partials, None).unwrap()
+        })
+    }
+
+    /// A partial whose shape differs from the fragment sent — key length,
+    /// call count, accumulator kind or trial-vector length — fails the
+    /// fold, and a driver folding on such a worker publishes no batch.
+    #[test]
+    fn tcp_pool_rejects_partials_shaped_unlike_the_fragment() {
+        type Tamper = fn(&mut PartialGroup);
+        let tampers: [(&str, Tamper); 8] = [
+            ("long key", |g| g.key.push(Value::Null)),
+            ("empty key", |g| g.key.clear()),
+            ("missing call", |g| {
+                g.calls.pop();
+            }),
+            ("extra call", |g| g.calls.push(g.calls[0].clone())),
+            ("wrong kind", |g| {
+                g.calls[0].acc = AccState::Sum {
+                    sum: 1.0,
+                    any: true,
+                }
+            }),
+            ("short a", |g| {
+                g.calls[1].a.pop();
+            }),
+            ("long b", |g| g.calls[0].b.push(0.0)),
+            ("empty trials", |g| {
+                g.calls[1].a.clear();
+                g.calls[1].b.clear();
+            }),
+        ];
+        let rows = sample_rows(2500); // 3 partitions
+        let catalog = iolap_workloads::conviva_catalog(600, 5);
+        let registry = iolap_workloads::conviva_registry();
+        for (name, tamper) in tampers {
+            let pool = TcpShardPool::connect(&[tampering_worker(tamper)]).unwrap();
+            let got = pool.fold(&frag(), &rows, true);
+            let err = got.expect_err(name).to_string();
+            assert!(
+                err.contains("do not match the fragment sent"),
+                "{name}: {err}"
+            );
+
+            let mut driver = IolapDriver::from_sql(
+                "SELECT cdn, COUNT(*), SUM(play_time) FROM sessions GROUP BY cdn",
+                &catalog,
+                &registry,
+                "sessions",
+                IolapConfig::with_batches(2).trials(10).seed(5),
+            )
+            .unwrap();
+            let pool = TcpShardPool::connect(&[tampering_worker(tamper)]).unwrap();
+            driver.set_shard_exec(std::sync::Arc::new(pool));
+            assert!(matches!(driver.step(), Some(Err(_))), "{name}");
+            assert!(driver.registry().is_empty(), "{name}: a batch published");
         }
     }
 

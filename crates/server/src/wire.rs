@@ -4,13 +4,14 @@
 //! JSON itself — [`JVal`], [`parse`], [`escape`] and the number policy —
 //! lives in `iolap_core::json` and is re-exported here, so the line
 //! protocol's users keep their paths. This module is the one place besides
-//! `iolap_core::json` that writes JSON text: the `shard.fold` frames. Each
-//! row of a fold request carries its per-trial weights as hex floats, so
-//! the frames are streamed into strings rather than built as a [`JVal`]
+//! `iolap_core::json` that writes JSON text: the `shard.fold` frames. A
+//! fold request carries every row's 100-odd per-trial Poisson weights, so
+//! the frames are streamed into one buffer rather than built as a [`JVal`]
 //! tree, which would double the string work on the sharded hot path.
 
 pub use iolap_core::json::{escape, parse, JVal, ParseError};
 
+use iolap_core::json::escape_into;
 use iolap_core::trace::SpanId;
 use iolap_core::{
     AccState, FoldFragment, FoldPartial, FragKind, FragSrc, ORow, PartialCall, PartialGroup,
@@ -28,57 +29,131 @@ pub fn value_json(v: &Value) -> String {
 // ---------------------------------------------------------------------------
 //
 // Frames must be *exact*: a decoded fragment folds on the shard and its
-// partial merges into the coordinator's float state, so every number
-// crosses as either a decimal integer string (i64) or an IEEE-754 bit
-// pattern ([`f64_to_hex`]). Cells use tagged arrays — `["i","-42"]`,
+// partial merges into the coordinator's float state, so every `f64` crosses
+// under one rule ([`push_num`] / [`num_from`]): as a JSON integer when it
+// is integral, |x| < 2^53 and not −0.0 — every bootstrap weight, most
+// multiplicities and counts — and otherwise as the 16 lowercase hex digits
+// of its IEEE-754 bit pattern (fractions, −0.0, NaN payloads, ±∞, huge
+// magnitudes). Decoding is strict, so each bit pattern has exactly one
+// accepted encoding. Cells use tagged arrays — `["i",-42]`, `["f",3]`,
 // `["f","3ff8000000000000"]`, `["s","txt"]`, `["b",true]`, bare `null` —
-// so the type survives independently of JSON number semantics. Lineage
-// cells (`Ref`/`Pending`) are not shippable: encoders return `None` and
-// the coordinator folds that batch locally (the `Ok(None)` contract of
-// `ShardExec::fold`).
+// so the type survives independently of JSON number semantics (`i64`
+// cells are exact JSON integers: the parser keeps every `i64` literal
+// exact). Lineage cells (`Ref`/`Pending`) are not shippable: encoders
+// return `None` and the coordinator folds that batch locally (the
+// `Ok(None)` contract of `ShardExec::fold`).
 
-/// Exact `f64` transport for shard frames: the 16 lowercase hex digits of
-/// the IEEE-754 bit pattern. JSON numbers round-trip through decimal and
-/// cannot carry NaN or distinguish `-0.0`; shard partial-state shipping
-/// needs bit-exactness, so floats cross the wire as bit patterns.
-pub fn f64_to_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+/// Magnitude bound of the integer form: below 2^53 every integer is an
+/// exact `f64`, so the JSON integer names one bit pattern.
+const EXACT_INT_BOUND: u64 = 1 << 53;
+
+/// The integer form of `x`, when it has one: integral, |x| < 2^53, and not
+/// −0.0 (whose bits differ from `0`'s). `as` saturates and maps NaN to 0,
+/// so the bit comparison refuses everything without an exact `i64` twin.
+fn int_form(x: f64) -> Option<i64> {
+    let i = x as i64;
+    (i.unsigned_abs() < EXACT_INT_BOUND && (i as f64).to_bits() == x.to_bits()).then_some(i)
 }
 
-/// Decode a [`f64_to_hex`] string. Exactly 16 hex digits; case-insensitive
-/// on input, but a leading sign is rejected (`from_str_radix` would accept
-/// `+`).
-pub fn f64_from_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
+/// Append one `f64` under the frame rule: its integer form as a JSON
+/// integer, anything else as its quoted 16-hex-digit bit pattern.
+fn push_num(out: &mut String, x: f64) {
+    match int_form(x) {
+        // Bootstrap weights are almost all single digits.
+        Some(d @ 0..=9) => out.push(char::from(b'0' + d as u8)),
+        Some(i) => {
+            let _ = write!(out, "{i}");
+        }
+        None => {
+            let _ = write!(out, "\"{:016x}\"", x.to_bits());
+        }
     }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-/// Encode one relation cell as an exact tagged frame; `None` for lineage
+/// Decode a [`push_num`] value, refusing every other spelling: a
+/// `JVal::Num`, an integer at or beyond 2^53, and a bit-pattern string
+/// that is not 16 lowercase hex digits or whose value has an integer form.
+fn num_from(v: &JVal) -> Option<f64> {
+    match v {
+        JVal::Int(i) if i.unsigned_abs() < EXACT_INT_BOUND => Some(*i as f64),
+        JVal::Str(s) => {
+            if s.len() != 16 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+                return None;
+            }
+            let x = f64::from_bits(u64::from_str_radix(s, 16).ok()?);
+            int_form(x).is_none().then_some(x)
+        }
+        _ => None,
+    }
+}
+
+/// Append `xs` as a JSON array under the [`push_num`] rule.
+fn push_nums(out: &mut String, xs: &[f64]) {
+    out.push('[');
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_num(out, *x);
+    }
+    out.push(']');
+}
+
+/// Decode a [`push_nums`] array.
+fn nums_from(v: &JVal) -> Option<Vec<f64>> {
+    match v {
+        JVal::Arr(items) => items.iter().map(num_from).collect(),
+        _ => None,
+    }
+}
+
+/// Append one relation cell as an exact tagged frame; `None` for lineage
 /// variants (those rows cannot leave the coordinator).
-pub fn cell_json(v: &Value) -> Option<String> {
-    Some(match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => format!("[\"b\",{b}]"),
-        Value::Int(i) => format!("[\"i\",\"{i}\"]"),
-        Value::Float(f) => format!("[\"f\",\"{}\"]", f64_to_hex(*f)),
-        Value::Str(s) => format!("[\"s\",\"{}\"]", escape(s)),
+fn push_cell(out: &mut String, v: &Value) -> Option<()> {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "[\"b\",true]" } else { "[\"b\",false]" }),
+        Value::Int(i) => {
+            let _ = write!(out, "[\"i\",{i}]");
+        }
+        Value::Float(f) => {
+            out.push_str("[\"f\",");
+            push_num(out, *f);
+            out.push(']');
+        }
+        Value::Str(s) => {
+            out.push_str("[\"s\",\"");
+            escape_into(out, s);
+            out.push_str("\"]");
+        }
         Value::Ref(_) | Value::Pending(_) => return None,
-    })
+    }
+    Some(())
 }
 
-/// Decode a [`cell_json`] frame. Strict: integer strings are canonical
-/// decimal (no leading `+`), float strings are 16-hex-digit bit patterns.
-pub fn cell_from_json(v: &JVal) -> Option<Value> {
+/// Append `cells` as a JSON array of [`push_cell`] frames.
+fn push_cells(out: &mut String, cells: &[Value]) -> Option<()> {
+    out.push('[');
+    for (i, v) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_cell(out, v)?;
+    }
+    out.push(']');
+    Some(())
+}
+
+/// Decode a [`push_cell`] frame.
+fn cell_from_json(v: &JVal) -> Option<Value> {
     match v {
         JVal::Null => Some(Value::Null),
         JVal::Arr(items) => {
             let tag = items.first()?.as_str()?;
             match (tag, items.get(1)?) {
                 ("b", JVal::Bool(b)) => Some(Value::Bool(*b)),
-                ("i", JVal::Str(s)) if !s.starts_with('+') => s.parse::<i64>().ok().map(Value::Int),
-                ("f", JVal::Str(s)) => f64_from_hex(s).map(Value::Float),
+                ("i", JVal::Int(i)) => Some(Value::Int(*i)),
+                ("f", x) => num_from(x).map(Value::Float),
                 ("s", JVal::Str(s)) => Some(Value::str(s)),
                 _ => None,
             }
@@ -87,51 +162,34 @@ pub fn cell_from_json(v: &JVal) -> Option<Value> {
     }
 }
 
-fn hex_vec(out: &mut String, xs: &[f64]) {
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", f64_to_hex(*x));
-    }
-    out.push(']');
-}
-
-fn hex_vec_from(v: &JVal) -> Option<Vec<f64>> {
+/// Decode a [`push_cells`] array.
+fn cells_from(v: &JVal) -> Option<Vec<Value>> {
     match v {
-        JVal::Arr(items) => items
-            .iter()
-            .map(|w| w.as_str().and_then(f64_from_hex))
-            .collect(),
+        JVal::Arr(items) => items.iter().map(cell_from_json).collect(),
         _ => None,
     }
 }
 
 /// Encode a row batch for `shard.fold`: each row is
-/// `{"m":"<hexf64>","w":["hex",...]|null,"v":[cells]}` (multiplicity,
-/// per-trial Poisson weights, values). `None` when any cell is lineage.
+/// `{"m":M,"w":[W,...]|null,"v":[cells]}` (multiplicity, per-trial Poisson
+/// weights, values), every number under the frame rule. `None` when any
+/// cell is lineage.
 pub fn rows_json(rows: &[ORow]) -> Option<String> {
     let mut out = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"m\":\"");
-        out.push_str(&f64_to_hex(r.mult));
-        out.push_str("\",\"w\":");
+        out.push_str("{\"m\":");
+        push_num(&mut out, r.mult);
+        out.push_str(",\"w\":");
         match &r.weights {
             None => out.push_str("null"),
-            Some(ws) => hex_vec(&mut out, ws),
+            Some(ws) => push_nums(&mut out, ws),
         }
-        out.push_str(",\"v\":[");
-        for (j, v) in r.values.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&cell_json(v)?);
-        }
-        out.push_str("]}");
+        out.push_str(",\"v\":");
+        push_cells(&mut out, &r.values)?;
+        out.push('}');
     }
     out.push(']');
     Some(out)
@@ -142,15 +200,12 @@ pub fn rows_from_json(v: &JVal) -> Option<Vec<ORow>> {
     let JVal::Arr(items) = v else { return None };
     let mut rows = Vec::with_capacity(items.len());
     for item in items {
-        let mult = f64_from_hex(item.get("m")?.as_str()?)?;
+        let mult = num_from(item.get("m")?)?;
         let weights = match item.get("w")? {
             JVal::Null => None,
-            ws => Some(std::sync::Arc::from(hex_vec_from(ws)?)),
+            ws => Some(std::sync::Arc::from(nums_from(ws)?)),
         };
-        let JVal::Arr(vs) = item.get("v")? else {
-            return None;
-        };
-        let values: Vec<Value> = vs.iter().map(cell_from_json).collect::<Option<_>>()?;
+        let values = cells_from(item.get("v")?)?;
         rows.push(ORow {
             values: std::sync::Arc::from(values),
             mult,
@@ -186,7 +241,9 @@ pub fn frag_json(frag: &FoldFragment) -> Option<String> {
                 let _ = write!(out, "[\"{kind}\",\"c\",{j}]");
             }
             FragSrc::Lit(v) => {
-                let _ = write!(out, "[\"{kind}\",\"l\",{}]", cell_json(v)?);
+                let _ = write!(out, "[\"{kind}\",\"l\",");
+                push_cell(&mut out, v)?;
+                out.push(']');
             }
         }
     }
@@ -234,21 +291,16 @@ pub fn frag_from_json(v: &JVal) -> Option<FoldFragment> {
 }
 
 /// Encode one partition partial for the ship leg: group keys as cells,
-/// accumulator state and trial vectors as bit patterns.
+/// accumulator state and trial vectors under the frame rule.
 pub fn partial_json(p: &FoldPartial) -> Option<String> {
     let mut out = format!("{{\"p\":{},\"groups\":[", p.partition);
     for (i, g) in p.groups.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"k\":[");
-        for (j, k) in g.key.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&cell_json(k)?);
-        }
-        let _ = write!(out, "],\"hc\":{},\"calls\":[", g.has_certain);
+        out.push_str("{\"k\":");
+        push_cells(&mut out, &g.key)?;
+        let _ = write!(out, ",\"hc\":{},\"calls\":[", g.has_certain);
         for (j, c) in g.calls.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -256,24 +308,25 @@ pub fn partial_json(p: &FoldPartial) -> Option<String> {
             out.push_str("{\"acc\":");
             match &c.acc {
                 AccState::Count { n } => {
-                    let _ = write!(out, "[\"c\",\"{}\"]", f64_to_hex(*n));
+                    out.push_str("[\"c\",");
+                    push_num(&mut out, *n);
                 }
                 AccState::Sum { sum, any } => {
-                    let _ = write!(out, "[\"s\",\"{}\",{}]", f64_to_hex(*sum), any);
+                    out.push_str("[\"s\",");
+                    push_num(&mut out, *sum);
+                    let _ = write!(out, ",{any}");
                 }
                 AccState::Avg { sum, n } => {
-                    let _ = write!(
-                        out,
-                        "[\"a\",\"{}\",\"{}\"]",
-                        f64_to_hex(*sum),
-                        f64_to_hex(*n)
-                    );
+                    out.push_str("[\"a\",");
+                    push_num(&mut out, *sum);
+                    out.push(',');
+                    push_num(&mut out, *n);
                 }
             }
-            out.push_str(",\"a\":");
-            hex_vec(&mut out, &c.a);
+            out.push_str("],\"a\":");
+            push_nums(&mut out, &c.a);
             out.push_str(",\"b\":");
-            hex_vec(&mut out, &c.b);
+            push_nums(&mut out, &c.b);
             out.push('}');
         }
         out.push_str("]}");
@@ -290,10 +343,7 @@ pub fn partial_from_json(v: &JVal) -> Option<FoldPartial> {
     };
     let mut groups = Vec::with_capacity(gs.len());
     for g in gs {
-        let JVal::Arr(ks) = g.get("k")? else {
-            return None;
-        };
-        let key: Vec<Value> = ks.iter().map(cell_from_json).collect::<Option<_>>()?;
+        let key = cells_from(g.get("k")?)?;
         let has_certain = g.get("hc")?.as_bool()?;
         let JVal::Arr(cs) = g.get("calls")? else {
             return None;
@@ -303,24 +353,23 @@ pub fn partial_from_json(v: &JVal) -> Option<FoldPartial> {
             let JVal::Arr(acc) = c.get("acc")? else {
                 return None;
             };
+            let num = |i: usize| acc.get(i).and_then(num_from);
             let state = match acc.first()?.as_str()? {
-                "c" => AccState::Count {
-                    n: f64_from_hex(acc.get(1)?.as_str()?)?,
-                },
+                "c" => AccState::Count { n: num(1)? },
                 "s" => AccState::Sum {
-                    sum: f64_from_hex(acc.get(1)?.as_str()?)?,
+                    sum: num(1)?,
                     any: acc.get(2)?.as_bool()?,
                 },
                 "a" => AccState::Avg {
-                    sum: f64_from_hex(acc.get(1)?.as_str()?)?,
-                    n: f64_from_hex(acc.get(2)?.as_str()?)?,
+                    sum: num(1)?,
+                    n: num(2)?,
                 },
                 _ => return None,
             };
             calls.push(PartialCall {
                 acc: state,
-                a: hex_vec_from(c.get("a")?)?,
-                b: hex_vec_from(c.get("b")?)?,
+                a: nums_from(c.get("a")?)?,
+                b: nums_from(c.get("b")?)?,
             });
         }
         groups.push(PartialGroup {
@@ -384,6 +433,7 @@ pub fn fold_response_json(partials: &[FoldPartial], spans: Option<&JVal>) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn render_round_trips_through_parse() {
@@ -601,10 +651,28 @@ mod tests {
         assert_eq!(parse(doc).unwrap(), JVal::Str("\u{1}\u{1F600}".into()));
     }
 
+    /// One number through the frame rule: encode, parse, decode.
+    fn num_doc(x: f64) -> String {
+        let mut out = String::new();
+        push_num(&mut out, x);
+        out
+    }
+
+    fn num_back(doc: &str) -> Option<f64> {
+        num_from(&parse(doc).ok()?)
+    }
+
+    fn cell_doc(v: &Value) -> Option<String> {
+        let mut out = String::new();
+        push_cell(&mut out, v)?;
+        Some(out)
+    }
+
+    /// Values without an integer form still cross as their bit patterns,
+    /// bit for bit; integral ones below 2^53 cross as JSON integers.
     #[test]
     fn f64_hex_roundtrip_is_bit_exact() {
         for x in [
-            0.0,
             -0.0,
             1.5,
             -1.0 / 3.0,
@@ -612,23 +680,35 @@ mod tests {
             f64::MAX,
             f64::INFINITY,
             f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8000000abcdef), // a NaN payload
         ] {
-            let hex = f64_to_hex(x);
-            assert_eq!(hex.len(), 16);
-            let back = f64_from_hex(&hex).unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{x} via {hex}");
+            let doc = num_doc(x);
+            assert_eq!(doc, format!("\"{:016x}\"", x.to_bits()));
+            assert_eq!(
+                num_back(&doc).unwrap().to_bits(),
+                x.to_bits(),
+                "{x} via {doc}"
+            );
         }
-        // NaN payload bits survive (equality on bits, not value).
-        let nan = f64::from_bits(0x7ff8000000abcdef);
-        assert_eq!(
-            f64_from_hex(&f64_to_hex(nan)).unwrap().to_bits(),
-            nan.to_bits()
-        );
+        for (x, doc) in [
+            (0.0, "0"),
+            (2.0, "2"),
+            (-1.0, "-1"),
+            (1e15, "1000000000000000"),
+        ] {
+            assert_eq!(num_doc(x), doc);
+            assert_eq!(num_back(doc).unwrap().to_bits(), x.to_bits());
+        }
         // -0.0 and 0.0 stay distinguishable.
-        assert_ne!(f64_to_hex(0.0), f64_to_hex(-0.0));
-        assert_eq!(f64_from_hex("xyz"), None);
-        assert_eq!(f64_from_hex("+ff8000000abcdef"), None);
-        assert_eq!(f64_from_hex("00"), None);
+        assert_ne!(num_doc(0.0), num_doc(-0.0));
+        for bad in [
+            "\"xyz\"",
+            "\"+ff8000000abcdef\"",
+            "\"00\"",
+            "\"3FF8000000000000\"",
+        ] {
+            assert_eq!(num_back(bad), None, "{bad}");
+        }
     }
 
     #[test]
@@ -638,12 +718,14 @@ mod tests {
             Value::Bool(true),
             Value::Int(-42),
             Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
             Value::Float(-0.0),
+            Value::Float(3.0),
             Value::Float(1.0 / 3.0),
             Value::str("a\"b\n😀"),
         ];
         for v in &cells {
-            let doc = cell_json(v).unwrap();
+            let doc = cell_doc(v).unwrap();
             let back = cell_from_json(&parse(&doc).unwrap()).unwrap();
             // Bit-level float equality, not PartialEq smoothing.
             match (v, &back) {
@@ -651,16 +733,184 @@ mod tests {
                 _ => assert_eq!(*v, back, "via {doc}"),
             }
         }
+        assert_eq!(cell_doc(&Value::Int(-42)).unwrap(), "[\"i\",-42]");
+        assert_eq!(cell_doc(&Value::Float(3.0)).unwrap(), "[\"f\",3]");
         // Lineage cells are unshippable by contract.
         let r = Value::Ref(iolap_relation::AggRef {
             agg: 0,
             column: 0,
             key: std::sync::Arc::from(Vec::new()),
         });
-        assert_eq!(cell_json(&r), None);
-        // Decoder rejects sign-lenient integer strings.
-        assert_eq!(cell_from_json(&parse("[\"i\",\"+3\"]").unwrap()), None);
-        assert_eq!(cell_from_json(&parse("[\"f\",\"zz\"]").unwrap()), None);
+        assert_eq!(cell_doc(&r), None);
+        // Integers cross as JSON integers only; floats under the rule only.
+        for bad in [
+            "[\"i\",\"3\"]",
+            "[\"i\",3.5]",
+            "[\"i\",-0]",
+            "[\"i\",9223372036854775808]",
+            "[\"f\",\"zz\"]",
+            "[\"f\",3.0]",
+            "[\"f\",\"4008000000000000\"]",
+        ] {
+            assert_eq!(cell_from_json(&parse(bad).unwrap()), None, "{bad}");
+        }
+    }
+
+    /// The frame rule's edge cases: ±0, ±∞, NaN payloads, subnormals, the
+    /// 2^53 boundary from both sides, 2^63 and `i64::MIN`.
+    fn edge_floats() -> Vec<f64> {
+        let two_53 = 9_007_199_254_740_992.0;
+        vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_00ab_cdef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            two_53 - 1.0,
+            -(two_53 - 1.0),
+            two_53,
+            -two_53,
+            two_53 + 2.0,
+            9_223_372_036_854_775_808.0,
+            i64::MIN as f64,
+            f64::MAX,
+            f64::MIN,
+        ]
+    }
+
+    /// `x` crosses bit for bit as a row's multiplicity and weight, as a
+    /// `Float` cell, as every `AccState` field and in the partials' trial
+    /// vectors, and the decoded frames re-encode to the same bytes.
+    fn assert_crosses_exactly(x: f64) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = vec![ORow {
+            values: std::sync::Arc::from(vec![Value::Float(x), Value::Int(7)]),
+            mult: x,
+            weights: Some(std::sync::Arc::from(vec![x, 1.0, x])),
+        }];
+        let doc = rows_json(&rows).unwrap();
+        let back = rows_from_json(&parse(&doc).unwrap()).unwrap();
+        assert_eq!(back[0].mult.to_bits(), x.to_bits(), "{doc}");
+        let ws = back[0].weights.as_deref().unwrap();
+        assert_eq!(bits(ws), bits(&[x, 1.0, x]), "{doc}");
+        match back[0].values[0] {
+            Value::Float(y) => assert_eq!(y.to_bits(), x.to_bits(), "{doc}"),
+            ref other => panic!("{doc}: decoded {other:?}"),
+        }
+        assert_eq!(rows_json(&back).unwrap(), doc);
+
+        let call = |acc| PartialCall {
+            acc,
+            a: vec![x, 2.0],
+            b: vec![0.0, x],
+        };
+        let partial = FoldPartial {
+            partition: 1,
+            groups: vec![PartialGroup {
+                key: vec![Value::Float(x)],
+                has_certain: false,
+                calls: vec![
+                    call(AccState::Count { n: x }),
+                    call(AccState::Sum { sum: x, any: true }),
+                    call(AccState::Avg { sum: x, n: x }),
+                ],
+            }],
+        };
+        let doc = partial_json(&partial).unwrap();
+        let back = partial_from_json(&parse(&doc).unwrap()).unwrap();
+        assert_eq!(partial_json(&back).unwrap(), doc);
+        let [g] = &back.groups[..] else {
+            panic!("{doc}: one group expected");
+        };
+        assert!(matches!(g.key[..], [Value::Float(y)] if y.to_bits() == x.to_bits()));
+        for c in &g.calls {
+            let acc: Vec<f64> = match c.acc {
+                AccState::Count { n } => vec![n],
+                AccState::Sum { sum, any } => {
+                    assert!(any);
+                    vec![sum]
+                }
+                AccState::Avg { sum, n } => vec![sum, n],
+            };
+            assert!(acc.iter().all(|y| y.to_bits() == x.to_bits()), "{doc}");
+            assert_eq!(bits(&c.a), bits(&[x, 2.0]), "{doc}");
+            assert_eq!(bits(&c.b), bits(&[0.0, x]), "{doc}");
+        }
+    }
+
+    /// Every spelling of `x` other than its [`push_num`] form: the other of
+    /// (integer, bit pattern), a JSON float, and uppercase hex.
+    fn non_canonical(x: f64) -> Vec<String> {
+        let mut docs = vec![format!("\"{:016X}\"", x.to_bits())];
+        match int_form(x) {
+            Some(i) => {
+                docs.push(format!("\"{:016x}\"", x.to_bits()));
+                docs.push(format!("{i}.0"));
+                docs.push(format!("{i}e0"));
+            }
+            None if x.is_finite() && x.fract() == 0.0 => {
+                // −0.0 and |x| ≥ 2^53 written as integer literals: `-0`
+                // parses as a float, the others as `Int` past 2^53 or as
+                // floats past `i64`.
+                docs.push(format!("{x:.0}"));
+            }
+            None => {}
+        }
+        docs.retain(|d| *d != num_doc(x));
+        docs
+    }
+
+    #[test]
+    fn exact_float_rule_covers_the_edges() {
+        for x in edge_floats() {
+            assert_crosses_exactly(x);
+            for doc in non_canonical(x) {
+                assert_eq!(num_back(&doc).map(f64::to_bits), None, "{x:e} as {doc}");
+            }
+        }
+        // The integer form stops exactly at 2^53 on both sides.
+        assert_eq!(num_doc(9_007_199_254_740_991.0), "9007199254740991");
+        assert_eq!(num_doc(-9_007_199_254_740_991.0), "-9007199254740991");
+        assert_eq!(num_doc(9_007_199_254_740_992.0), "\"4340000000000000\"");
+        assert_eq!(num_back("9007199254740992"), None);
+        assert_eq!(num_back("-9007199254740992"), None);
+        assert_eq!(num_back("9223372036854775807"), None);
+        assert_eq!(num_back("-9223372036854775808"), None);
+        assert_eq!(num_back("-0"), None);
+        assert_eq!(num_back("null"), None);
+        assert_eq!(num_back("true"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            ..ProptestConfig::default()
+        })]
+
+        /// Random bit patterns, random integers inside the exact range
+        /// and small counts: each crosses bit for bit, and no other
+        /// spelling of it is accepted.
+        #[test]
+        fn exact_float_rule_round_trips_every_bit_pattern(
+            x in prop_oneof![
+                any::<u64>().prop_map(f64::from_bits),
+                (-(1i64 << 53) + 1..(1i64 << 53)).prop_map(|i| i as f64),
+                (-64i64..64).prop_map(|i| i as f64),
+            ]
+        ) {
+            assert_crosses_exactly(x);
+            for doc in non_canonical(x) {
+                prop_assert_eq!(num_back(&doc).map(f64::to_bits), None, "{} as {}", x, doc);
+            }
+        }
     }
 
     #[test]
