@@ -1,16 +1,18 @@
 //! Micro-benchmarks of the substrate operators: batch executor primitives,
 //! Poisson bootstrap draws, variation-range tracking, predicate
 //! classification, the aggregate partition fold and the shard frame codec —
-//! the building blocks whose costs compose into the figure-level numbers.
+//! the building blocks whose costs compose into the figure-level numbers —
+//! plus one recovery-bound query run end to end for context.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iolap_bootstrap::{draw_row_into, poisson1, RangeTracker, VariationRange};
 use iolap_core::{
-    classify, fold_fragment_partition, AggRegistry, FoldFragment, FragKind, FragSrc, ORow,
+    classify, fold_fragment_partition, AggRegistry, FoldFragment, FragKind, FragSrc, IolapConfig,
+    IolapDriver, ORow,
 };
 use iolap_engine::{execute, plan_sql, CmpOp, Expr, FunctionRegistry};
-use iolap_relation::{AggRef, Row, Value};
-use iolap_workloads::conviva_catalog;
+use iolap_relation::{AggRef, PartitionMode, Row, Value};
+use iolap_workloads::{conviva_catalog, tpch_catalog, tpch_query};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -221,6 +223,26 @@ fn bench_interval_width(c: &mut Criterion) {
     g.finish();
 }
 
+/// Context for the recovery path: Q18 run to completion at SF 0.5, 20
+/// batches, 100 trials. Its per-order SUM ranges fail nearly every batch,
+/// so checkpoint save/restore and replays carry much of the time.
+fn bench_recovery_q18(c: &mut Criterion) {
+    let cat = tpch_catalog(0.5, 3);
+    let regf = FunctionRegistry::with_builtins();
+    let q = tpch_query("Q18").expect("Q18 is a workload query");
+    let pq = plan_sql(q.sql, &cat, &regf).unwrap();
+    let mut cfg = IolapConfig::with_batches(20).trials(100).seed(3);
+    cfg.partition_mode = PartitionMode::RowShuffle;
+    let mut g = quick(c);
+    g.bench_function("recovery_q18_sf05", |b| {
+        b.iter(|| {
+            let mut d = IolapDriver::from_plan(&pq, &cat, q.stream_table, cfg.clone()).unwrap();
+            d.run_to_completion().unwrap().len()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     ops,
     bench_poisson,
@@ -229,6 +251,7 @@ criterion_group!(
     bench_batch_executor,
     bench_fold_partition,
     bench_shard_frame,
-    bench_interval_width
+    bench_interval_width,
+    bench_recovery_q18
 );
 criterion_main!(ops);

@@ -193,6 +193,14 @@ impl RangeTracker {
         self.history.len()
     }
 
+    /// Global batch of the observation that set the current range, if any.
+    /// Between restores of a saved tracker these strictly increase, so a
+    /// reader that records it can later tell whether the range it read is
+    /// still the one in effect.
+    pub fn last_batch(&self) -> Option<usize> {
+        self.history.last().map(|(b, _)| *b)
+    }
+
     /// Observe the bootstrap outputs of batch 0 onwards, without global
     /// batch bookkeeping (tests, simple uses): batches are numbered by
     /// observation count.
@@ -224,6 +232,11 @@ impl RangeTracker {
     /// refresh untouched groups after a scale change without rebuilding
     /// trial vectors.
     pub fn observe_summary(&mut self, lo: f64, hi: f64, sd: f64, batch: usize) -> RangeOutcome {
+        debug_assert!(
+            self.last_batch().is_none_or(|b| b < batch),
+            "observation batches must strictly increase: {batch} after {:?}",
+            self.last_batch()
+        );
         let fresh = VariationRange::new(lo - self.slack * sd, hi + self.slack * sd);
         match self.history.last().map(|(_, r)| *r) {
             None => {
@@ -331,6 +344,37 @@ mod tests {
             RangeOutcome::Failure { replay_from } => assert_eq!(replay_from, Some(0)),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn observation_batches_strictly_increase_through_a_failure() {
+        let mut t = RangeTracker::new(0.0);
+        assert_eq!(t.last_batch(), None);
+        t.observe_at(&[0.0, 100.0], 2);
+        t.observe_at(&[40.0, 50.0], 5);
+        assert_eq!(t.last_batch(), Some(5));
+        // A failure cuts the history back to its recovery point and adopts
+        // the fresh range at the failing batch, the newest observation.
+        assert!(matches!(
+            t.observe_at(&[60.0, 70.0], 7),
+            RangeOutcome::Failure {
+                replay_from: Some(2)
+            }
+        ));
+        assert_eq!(t.last_batch(), Some(7));
+        assert_eq!(t.batches(), 2);
+        // Observations numbered by count continue after the newest batch.
+        t.observe(&[62.0, 68.0]);
+        assert_eq!(t.last_batch(), Some(8));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "observation batches must strictly increase")]
+    fn observing_a_batch_twice_is_caught() {
+        let mut t = RangeTracker::new(1.0);
+        t.observe_at(&[1.0, 2.0], 3);
+        t.observe_at(&[1.0, 2.0], 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::config::IolapConfig;
 use crate::faults::FaultInjector;
 use crate::metrics::{Metrics, Span};
 use crate::ops::{BatchCtx, BatchStats, OnlineOp, WeightMemo};
-use crate::recovery::{Recovery, MAX_RECOVERY_DEPTH};
+use crate::recovery::{stake, Recovery, Stake, MAX_RECOVERY_DEPTH};
 use crate::registry::AggRegistry;
 use crate::rewriter::{rewrite, OnlineQuery, RewriteError};
 use crate::sink::{QueryResult, Sink};
@@ -604,7 +604,16 @@ impl IolapDriver {
             self.recovery.readmit(&mut self.registry);
         }
         self.apply_forced_failures(i, &mut outcomes);
-        if let Some(target) = self.recovery.examine(&mut self.registry, &outcomes) {
+        let (target, waived) = self.recovery.examine(&mut self.registry, &outcomes);
+        if !waived.is_empty() {
+            run.metrics
+                .add("recovery.waived_failures", waived.len() as u64);
+        }
+        for r in waived {
+            let detail = format!("agg={} col={}", r.agg, r.column);
+            self.mark(run, "range.failure_waived", 0, detail);
+        }
+        if let Some(target) = target {
             return Err(Rollback::Range(target, outcomes.len()));
         }
         let state_bytes = self.root.state_bytes();
@@ -734,7 +743,11 @@ impl IolapDriver {
             scale: self.batches.scale_after(i),
             slack: self.config.slack,
             trials: self.config.trials,
-            opt1: self.config.opt_tuple_partition,
+            // A replay prunes nothing: it would stamp decisions over the
+            // whole replayed span with batch `i`, which a restore can no
+            // longer undo short of the checkpoint before the span. The
+            // next fresh pass classifies what the replay kept.
+            opt1: self.config.opt_tuple_partition && run.depth == 0,
             opt2: self.config.opt_lazy_lineage,
             last_batch: i + 1 == self.batches.num_batches(),
             stream_delta: delta,
@@ -791,17 +804,18 @@ impl IolapDriver {
     /// Downstream recovery cannot tell the difference, which is the point;
     /// and the hardened loop does not *depend* on the claim being true
     /// (an inaccurate target at worst re-fails the replay, which recovers
-    /// again, bounded). Only ranges that actually pruned (and are not
-    /// quarantined) are eligible: a failure of an unused range carries no
-    /// corrupted decisions and would be discarded by the usage gate
-    /// anyway. At most one outcome flips per pass, so multiple armed
+    /// again, bounded). Only ranges whose failure the usage gate acts on
+    /// are eligible ([`stake`] is `Since`), so every fired fault forces a
+    /// rollback. At most one outcome flips per pass, so multiple armed
     /// faults stagger across recovery passes — the second lands
     /// *mid-replay*, exercising the cascade path.
     fn apply_forced_failures(&self, i: usize, outcomes: &mut [(AggRef, RangeOutcome)]) {
+        if self.faults.is_none() {
+            return;
+        }
         for (r, o) in outcomes.iter_mut() {
             if !matches!(o, RangeOutcome::Ok)
-                || self.registry.first_used(r).is_none()
-                || self.registry.is_quarantined(r)
+                || !matches!(stake(&self.registry, r), Stake::Since(_))
             {
                 continue;
             }
@@ -872,6 +886,7 @@ mod tests {
     //! quarantine / metrics plumbing directly.
 
     use super::*;
+    use crate::registry::FirstUse;
     use iolap_relation::{AggRef, DataType, PartitionMode, Schema, Value};
     use std::sync::Arc;
 
@@ -984,8 +999,7 @@ mod tests {
         // First used at batch 4: the oldest feasible target restores the
         // batch-3 checkpoint (retained under the cap), so rows from batch 4
         // on stay. First used at batch 0: the initial checkpoint is a
-        // feasible target, so every row stays (Q18's replays restore it
-        // nearly every batch).
+        // feasible target, so every row stays.
         for (first_use, held) in [(4, 80..100), (0, 0..100)] {
             let mut d = driver(100, 5, NO_FAIL, 1);
             d.registry.mark_used(aref(), first_use);
@@ -1097,12 +1111,17 @@ mod tests {
             ..aref()
         };
         let failed = |r: &AggRef| (r.clone(), RangeOutcome::Failure { replay_from: None });
+        // Both are first used reading the batch-0 observation (`repeat`
+        // has no tracker at all); batch 1 observes again, so a failure now
+        // invalidates those decisions.
         d.registry.mark_used(first.clone(), 0);
         d.registry.mark_used(repeat.clone(), 0);
+        d.step().unwrap().unwrap();
+        assert_eq!(d.registry.observation(&first), Some(1));
 
         // `repeat` fails once and is re-admitted after its replay.
         assert_eq!(
-            d.recovery.examine(&mut d.registry, &[failed(&repeat)]),
+            d.recovery.examine(&mut d.registry, &[failed(&repeat)]).0,
             Some(0)
         );
         d.recovery.readmit(&mut d.registry);
@@ -1110,7 +1129,10 @@ mod tests {
 
         // Now `first` fails for the first time and `repeat` a second time.
         let outcomes = [failed(&first), failed(&repeat)];
-        assert_eq!(d.recovery.examine(&mut d.registry, &outcomes), Some(0));
+        assert_eq!(
+            d.recovery.examine(&mut d.registry, &outcomes),
+            (Some(0), vec![])
+        );
         // The restored registry predates both failures; the live
         // quarantine survives it.
         assert_eq!(d.restore(0, &mut Metrics::new()).unwrap(), 0);
@@ -1120,6 +1142,74 @@ mod tests {
         d.recovery.readmit(&mut d.registry);
         assert!(!d.registry.is_quarantined(&first));
         assert!(d.registry.is_quarantined(&repeat));
+    }
+
+    #[test]
+    fn a_replay_pass_records_no_first_use() {
+        // Zero slack on drifting data: by batch 2 the subquery's range
+        // decides rows. The same delta at depth 0 (a fresh pass) records
+        // first uses at batch 2; at depth 1 (a replay) it records none.
+        let first_uses_at_2 = |depth: usize| {
+            let mut d = driver(120, 6, 0.0, 1);
+            d.step().unwrap().unwrap();
+            d.step().unwrap().unwrap();
+            let mut run = BatchRun {
+                i: 2,
+                span: SpanId::NONE,
+                stats: BatchStats::default(),
+                metrics: Metrics::new(),
+                depth,
+            };
+            let delta = d.batches.batch(2).clone();
+            d.process_delta(&mut run, &delta).unwrap();
+            let uses = d.registry.first_uses().values();
+            uses.filter(|u| u.batch == 2).count()
+        };
+        assert!(first_uses_at_2(0) > 0, "a fresh pass prunes");
+        assert_eq!(first_uses_at_2(1), 0, "a replay pass prunes nothing");
+    }
+
+    #[test]
+    fn a_failure_of_a_range_first_used_fresh_is_waived() {
+        // The first use read the observation the tracker holds now — on a
+        // real failure, the fresh range the failure adopted — so no saved
+        // decision read a violated range: no rollback, no quarantine.
+        let mut d = driver(120, 6, NO_FAIL, 1);
+        d.step().unwrap().unwrap();
+        let r = aref();
+        d.registry.mark_used(r.clone(), 0);
+        assert_eq!(
+            d.registry.first_use(&r),
+            Some(FirstUse {
+                batch: 0,
+                observed: Some(0)
+            })
+        );
+        assert_eq!(stake(&d.registry, &r), Stake::Fresh);
+        let outcomes = [(r.clone(), RangeOutcome::Failure { replay_from: None })];
+        let (target, waived) = d.recovery.examine(&mut d.registry, &outcomes);
+        assert_eq!((target, waived), (None, vec![&r]));
+        assert!(!d.registry.is_quarantined(&r));
+    }
+
+    #[test]
+    fn a_failure_of_a_range_first_used_at_an_older_observation_rolls_back() {
+        // First used at batch 1 reading the batch-0 observation; batch 1
+        // observes again. The target is what the usage gate always gave:
+        // the tracker's recovery point, floored at the first-use batch.
+        let mut d = driver(120, 6, NO_FAIL, 1);
+        d.step().unwrap().unwrap();
+        let r = aref();
+        d.registry.mark_used(r.clone(), 1);
+        d.step().unwrap().unwrap();
+        assert_eq!(stake(&d.registry, &r), Stake::Since(1));
+        for (replay_from, target) in [(None, 1), (Some(2), 3)] {
+            let outcomes = [(r.clone(), RangeOutcome::Failure { replay_from })];
+            d.registry.unquarantine(&r);
+            let examined = d.recovery.examine(&mut d.registry, &outcomes);
+            assert_eq!(examined, (Some(target), vec![]));
+            assert!(d.registry.is_quarantined(&r));
+        }
     }
 
     #[test]

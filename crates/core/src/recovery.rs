@@ -5,7 +5,9 @@
 //! must cover (`0` = from the start). A range failure's target is its
 //! tracker's recovery point, never earlier than the range's first pruning
 //! use; an execution error's (a panicking publish's too) is the failed
-//! batch itself. Restoring to a target picks the newest intact checkpoint
+//! batch itself. A failure whose range pruned nothing, or pruned only with
+//! the fresh range the failure itself adopted, needs no replay
+//! ([`stake`]). Restoring to a target picks the newest intact checkpoint
 //! whose replay starts at or before it — restoring older than asked is
 //! always sound, it only replays a longer suffix.
 //!
@@ -102,6 +104,35 @@ impl Checkpoint {
     }
 }
 
+/// What a failure of one range puts at stake: the saved decisions that
+/// read a range the failure has just shown to be wrong.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stake {
+    /// The range pruned nothing since the last restore, or it is
+    /// quarantined: no saved decision read it.
+    Unused,
+    /// Its first use read the tracker's current observation. On a failure
+    /// that is the fresh range the failure adopted, and decisions made
+    /// with it stand (observations strictly increase between restores, so
+    /// no older range can carry the same batch).
+    Fresh,
+    /// A decision read an older range; a replay must start no earlier than
+    /// this first-use batch.
+    Since(usize),
+}
+
+/// The one eligibility rule: what a failure of `r`'s range would put at
+/// stake. [`Recovery::examine`] rolls back exactly on [`Stake::Since`], and
+/// forced failures flip only such ranges.
+pub(crate) fn stake(registry: &AggRegistry, r: &AggRef) -> Stake {
+    match registry.first_use(r) {
+        None => Stake::Unused,
+        Some(_) if registry.is_quarantined(r) => Stake::Unused,
+        Some(u) if u.observed.is_some() && u.observed == registry.observation(r) => Stake::Fresh,
+        Some(u) => Stake::Since(u.batch),
+    }
+}
+
 /// Checkpoints plus the failure bookkeeping that decides where a rollback
 /// lands and which ranges may prune again.
 pub(crate) struct Recovery {
@@ -145,35 +176,40 @@ impl Recovery {
     }
 
     /// Examine the outcomes of one processing pass: every failing range
-    /// not already quarantined is quarantined (its failure count bumped),
-    /// and the pass-wide target — the earliest over the failures — is
-    /// returned; `None` means the pass is clean.
+    /// with a [`Stake::Since`] is quarantined (its failure count bumped),
+    /// and the pass-wide target — the earliest over those failures — is
+    /// returned with the failures waived as [`Stake::Fresh`]; a `None`
+    /// target means the pass is clean.
     ///
-    /// §5.1 failure handling, gated on usage: only ranges that actually
-    /// pruned a tuple can have corrupted saved decisions; unused ranges
+    /// §5.1 failure handling, gated on usage: only ranges whose saved
+    /// decisions read an older range can have corrupted them; the others
     /// simply adopt their fresh range. The target never predates a range's
     /// first pruning use — no decision involving it exists before then.
-    pub(crate) fn examine(
+    pub(crate) fn examine<'a>(
         &mut self,
         registry: &mut AggRegistry,
-        outcomes: &[(AggRef, RangeOutcome)],
-    ) -> Option<usize> {
+        outcomes: &'a [(AggRef, RangeOutcome)],
+    ) -> (Option<usize>, Vec<&'a AggRef>) {
         let mut target: Option<usize> = None;
+        let mut waived = Vec::new();
         for (r, o) in outcomes {
-            let (RangeOutcome::Failure { replay_from }, Some(first_used)) =
-                (o, registry.first_used(r))
-            else {
+            let RangeOutcome::Failure { replay_from } = o else {
                 continue;
             };
-            if registry.is_quarantined(r) {
-                continue;
-            }
+            let first_used = match stake(registry, r) {
+                Stake::Unused => continue,
+                Stake::Fresh => {
+                    waived.push(r);
+                    continue;
+                }
+                Stake::Since(b) => b,
+            };
             let t = replay_from.map_or(0, |j| j + 1).max(first_used);
             target = Some(target.map_or(t, |x| x.min(t)));
             *self.failure_counts.entry(r.clone()).or_insert(0) += 1;
             registry.quarantine(r.clone());
         }
-        target
+        (target, waived)
     }
 
     /// Re-admit first offenders once a replay pass has re-published their
@@ -279,7 +315,7 @@ impl Recovery {
             .first_uses()
             .iter()
             .filter(|(r, _)| !self.is_barred(r))
-            .map(|(_, b)| *b)
+            .map(|(_, u)| u.batch)
             .min()
             .unwrap_or(i + 1);
         let anchor = self.newest_for(feasible).unwrap_or(0);

@@ -90,17 +90,28 @@ fn scale_value(v: &Value, s: f64) -> Value {
     }
 }
 
+/// A range's first pruning use since the last restored checkpoint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FirstUse {
+    /// Batch whose pass made the decision.
+    pub(crate) batch: usize,
+    /// Batch of the tracker observation the decision read (`None`: the
+    /// group had no tracker yet).
+    pub(crate) observed: Option<usize>,
+}
+
 /// The shared registry. Cloning snapshots it (used by checkpointing).
 #[derive(Debug, Default)]
 pub struct AggRegistry {
     groups: HashMap<(u32, Arc<[Value]>), GroupEntry>,
     /// Attributes whose variation range produced a near-deterministic
-    /// pruning decision (§5.2), mapped to the first batch that happened in.
-    /// A range-integrity failure only requires replay when — and as far
-    /// back as — the failed attribute was *used*: unused ranges influence
-    /// no saved decision, and decisions cannot predate first use (the
-    /// Theorem-1 argument only depends on decisions actually made).
-    used_for_pruning: HashMap<AggRef, usize>,
+    /// pruning decision (§5.2), mapped to their first use: the batch it
+    /// happened in and the tracker observation ([`RangeTracker::last_batch`])
+    /// it read. A range-integrity failure only requires replay when — and
+    /// as far back as — the failed attribute was *used*: unused ranges
+    /// influence no saved decision, and decisions cannot predate first use
+    /// (the Theorem-1 argument only depends on decisions actually made).
+    used_for_pruning: HashMap<AggRef, FirstUse>,
     /// Attributes whose range failed while in use. Quarantined attributes
     /// report no variation range, so classification keeps their tuples in
     /// the non-deterministic set — bounded recomputation instead of
@@ -234,7 +245,7 @@ impl AggRegistry {
                 None => outcomes.push(iolap_bootstrap::RangeOutcome::Ok),
                 Some((lo, hi, sd)) => {
                     let b = if batch == usize::MAX {
-                        entry.trackers[c].batches()
+                        entry.trackers[c].last_batch().map_or(0, |b| b + 1)
                     } else {
                         batch
                     };
@@ -295,11 +306,7 @@ impl AggRegistry {
         if self.quarantined.contains(r) {
             return None;
         }
-        let range = self
-            .groups
-            .get(&(r.agg, r.key.clone()))
-            .and_then(|e| e.trackers.get(r.column as usize))
-            .and_then(|t| t.current().copied());
+        let range = tracker(&self.groups, r).and_then(|t| t.current().copied());
         // Injected perturbation widens the classification view (sound:
         // more tuples stay in the non-deterministic set).
         match (&self.faults, range) {
@@ -387,20 +394,32 @@ impl AggRegistry {
     }
 
     /// Record that `r`'s variation range decided a pruning outcome at
-    /// `batch` (keeps the earliest batch).
+    /// `batch`, reading the tracker's current observation (keeps the
+    /// earliest use).
     pub fn mark_used(&mut self, r: AggRef, batch: usize) {
-        self.used_for_pruning.entry(r).or_insert(batch);
+        let groups = &self.groups;
+        self.used_for_pruning
+            .entry(r)
+            .or_insert_with_key(|r| FirstUse {
+                batch,
+                observed: tracker(groups, r).and_then(RangeTracker::last_batch),
+            });
     }
 
-    /// The first batch at which `r`'s range pruned a tuple (since the last
-    /// restored checkpoint), if any.
-    pub fn first_used(&self, r: &AggRef) -> Option<usize> {
+    /// The first pruning use of `r`'s range since the last restored
+    /// checkpoint, if any.
+    pub(crate) fn first_use(&self, r: &AggRef) -> Option<FirstUse> {
         self.used_for_pruning.get(r).copied()
     }
 
-    /// Every attribute's first pruning-use batch (checkpoint retention).
-    pub(crate) fn first_uses(&self) -> &HashMap<AggRef, usize> {
+    /// Every attribute's first pruning use (checkpoint retention).
+    pub(crate) fn first_uses(&self) -> &HashMap<AggRef, FirstUse> {
         &self.used_for_pruning
+    }
+
+    /// Batch of the observation behind `r`'s current range, if tracked.
+    pub(crate) fn observation(&self, r: &AggRef) -> Option<usize> {
+        tracker(&self.groups, r).and_then(RangeTracker::last_batch)
     }
 
     /// Build a `Pending` lineage cell for a computed uncertain attribute:
@@ -422,6 +441,16 @@ impl AggRegistry {
             h.finish(),
         ))
     }
+}
+
+/// The range tracker of one aggregate cell, if its group is published.
+fn tracker<'a>(
+    groups: &'a HashMap<(u32, Arc<[Value]>), GroupEntry>,
+    r: &AggRef,
+) -> Option<&'a RangeTracker> {
+    groups
+        .get(&(r.agg, r.key.clone()))
+        .and_then(|e| e.trackers.get(r.column as usize))
 }
 
 impl RefResolver for AggRegistry {

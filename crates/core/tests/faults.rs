@@ -135,6 +135,17 @@ fn fires_for(driver: &IolapDriver, label: &str) -> u64 {
         .sum()
 }
 
+/// A forced range failure only flips a range the usage gate acts on, so
+/// every fire is a rollback. Stationary data at slack 2 fails no range on
+/// its own, so the driver's range rollbacks are exactly the fires.
+fn assert_every_fire_rolls_back(driver: &IolapDriver) {
+    assert_eq!(
+        fires_for(driver, "fail_range"),
+        driver.total_failures() as u64,
+        "every fired FailRange must force a rollback"
+    );
+}
+
 #[test]
 fn forced_range_failure_recovers_and_stays_exact() {
     let cat = stationary_catalog(300, 11);
@@ -148,8 +159,31 @@ fn forced_range_failure_recovers_and_stays_exact() {
     let (driver, recoveries) = run_exact(&cat, cfg);
     assert_eq!(fires_for(&driver, "fail_range"), 1, "fault must fire once");
     assert!(recoveries >= 1, "forced failure must trigger recovery");
-    assert!(driver.total_failures() >= 1);
+    assert_every_fire_rolls_back(&driver);
     assert!(driver.metrics().get("recovery.replays") >= 1);
+}
+
+#[test]
+fn forced_failure_fires_only_where_it_forces_a_rollback() {
+    // At batch 0 every range in use was first used with the observation
+    // the tracker holds now, so a failure of it would be waived: the fault
+    // armed there finds no range to flip. The one armed at batch 3 does,
+    // and rolls back.
+    let cat = stationary_catalog(300, 11);
+    let fail = FaultKind::FailRange {
+        agg: None,
+        column: None,
+    };
+    let plan = FaultPlan::new(7).with(0, fail.clone()).with(3, fail);
+    let (driver, recoveries) = run_exact(&cat, config(10, 2.0, 1).fault_plan(plan));
+    let fires: Vec<(usize, u64)> = driver
+        .fault_fires()
+        .iter()
+        .map(|(_, batch, n)| (*batch, *n))
+        .collect();
+    assert_eq!(fires, vec![(0, 0), (3, 1)]);
+    assert_every_fire_rolls_back(&driver);
+    assert_eq!(recoveries, 1);
 }
 
 #[test]
@@ -167,6 +201,7 @@ fn each_row_is_drawn_once_across_rescans_and_replays() {
     ));
     let (driver, recoveries) = run_exact(&cat, cfg);
     assert!(recoveries >= 1, "forced failure must trigger recovery");
+    assert_every_fire_rolls_back(&driver);
     assert!(driver.metrics().get("recovery.replayed_rows") >= 1);
     let m = driver.metrics();
     let (drawn, reused) = (
@@ -210,11 +245,7 @@ fn cascading_mid_replay_failure_triggers_bounded_re_recovery() {
     );
     let (driver, _) = run_sql_exact(two_pred_sql, &cat, cfg);
     assert_eq!(fires_for(&driver, "fail_range"), 2);
-    assert_eq!(
-        driver.total_failures(),
-        2,
-        "both the fresh-pass and the mid-replay failure must be counted"
-    );
+    assert_every_fire_rolls_back(&driver);
     assert!(
         driver.metrics().get("recovery.cascades") >= 1,
         "the second failure arrives mid-replay and must register as a cascade"
@@ -236,6 +267,7 @@ fn forced_failure_with_sparse_checkpoints_stays_exact() {
     ));
     let (driver, recoveries) = run_exact(&cat, cfg);
     assert_eq!(fires_for(&driver, "fail_range"), 1);
+    assert_every_fire_rolls_back(&driver);
     assert!(recoveries >= 1);
     assert!(driver.metrics().get("recovery.replayed_rows") >= 1);
 }
@@ -363,6 +395,7 @@ fn failures_past_the_depth_budget_degrade_and_stay_exact() {
     };
     let plan = (0..6).fold(FaultPlan::new(7), |p, _| p.with(4, fail.clone()));
     let (driver, _) = run_sql_exact(sql, &cat, config(10, 2.0, 1).fault_plan(plan));
+    assert_every_fire_rolls_back(&driver);
     let m = driver.metrics();
     assert!(
         m.get("recovery.degraded") >= 1,
@@ -388,7 +421,9 @@ fn error_and_range_failure_share_one_depth_budget() {
         let plan = order
             .iter()
             .fold(FaultPlan::new(7), |p, k| p.with(4, k.clone()));
-        let (_, reports) = run_sql_exact(NESTED_SQL, &cat, config(10, 2.0, 1).fault_plan(plan));
+        let (driver, reports) =
+            run_sql_exact(NESTED_SQL, &cat, config(10, 2.0, 1).fault_plan(plan));
+        assert_every_fire_rolls_back(&driver);
         let m = &reports[4].metrics;
         let counts = (
             m.get("recovery.error_replays"),
